@@ -21,7 +21,7 @@ func q1Clauses() []Clause {
 // the SPJ query — the reference the factorised pass must match.
 func foldOver(t *testing.T, res *Result, groupBy []string, specs []frep.AggSpec) map[string][]int64 {
 	t.Helper()
-	rep := res.Rep()
+	rep := res.Enc()
 	schema := rep.Schema()
 	pos := map[relation.Attribute]int{}
 	for i, a := range schema {

@@ -8,7 +8,6 @@
 //	fdbench -exp 4            # Figure 8:   evaluation on factorised data
 //	fdbench -exp 5            # prepared statements vs ad-hoc queries
 //	fdbench -exp 6            # factorised aggregation vs enumerate-then-fold
-//	fdbench -exp 7            # arena-backed columnar encoding vs pointer form
 //	fdbench -exp 8            # morsel-parallel execution: speedup vs worker count
 //	fdbench -exp 9            # ordered top-k (ORDER BY + LIMIT) vs flat sort-then-cut
 //	fdbench -exp 10           # write throughput: incremental delta merge vs full rebuild
@@ -34,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.Int("exp", 0, "experiment to run (1-14; 0 = all)")
+	exp := flag.Int("exp", 0, "experiment to run (1-6, 8-14; 0 = all)")
 	runs := flag.Int("runs", 3, "repetitions per configuration")
 	seed := flag.Int64("seed", 42, "random seed")
 	comb := flag.Bool("comb", false, "experiment 3: use the combinatorial dataset (Figure 7 right)")
@@ -51,7 +50,6 @@ func main() {
 		exp4(*seed, *runs, *timeout)
 		exp5(*seed, *runs)
 		exp6(*seed, *runs)
-		exp7(*seed, *runs)
 		exp8(*seed, *runs)
 		exp9(*seed, *runs)
 		exp10(*seed, *runs)
@@ -71,8 +69,6 @@ func main() {
 		exp5(*seed, *runs)
 	case 6:
 		exp6(*seed, *runs)
-	case 7:
-		exp7(*seed, *runs)
 	case 8:
 		exp8(*seed, *runs)
 	case 9:
@@ -88,7 +84,7 @@ func main() {
 	case 14:
 		exp14(*seed, *runs)
 	default:
-		fmt.Fprintln(os.Stderr, "fdbench: -exp must be 0..14")
+		fmt.Fprintln(os.Stderr, "fdbench: -exp must be one of 0-6, 8-14")
 		os.Exit(2)
 	}
 }
@@ -224,50 +220,6 @@ func exp6(seed int64, runs int) {
 	}
 	for _, length := range []int{2, 4, 6, 8} {
 		run("chain", length, bench.Experiment6Chain)
-	}
-}
-
-func exp7(seed int64, runs int) {
-	fmt.Println("# Experiment 7: arena-backed columnar encoding vs pointer representation (same inputs, same f-tree)")
-	fmt.Println("# workload scale frep_size flat_tuples enumerated build_ptr_ms build_enc_ms build_x enum_ptr_ms enum_enc_ms enum_x agg_ptr_ms agg_enc_ms agg_x")
-	rng := rand.New(rand.NewSource(seed))
-	for _, scale := range []int{1, 2, 4, 8} {
-		var acc bench.Exp7Row
-		n := 0
-		for i := 0; i < runs; i++ {
-			row, err := bench.Experiment7Encoding(rng, bench.Exp7Config{Scale: scale, MaxEnum: 5_000_000})
-			if err != nil {
-				// The experiment doubles as the encoded-vs-pointer parity
-				// check CI runs; its failure must fail the process.
-				fmt.Fprintln(os.Stderr, "fdbench:", err)
-				os.Exit(1)
-			}
-			acc.FRepSize += row.FRepSize
-			acc.Tuples += row.Tuples
-			acc.Enumerated += row.Enumerated
-			acc.BuildPtrMS += row.BuildPtrMS
-			acc.BuildEncMS += row.BuildEncMS
-			acc.EnumPtrMS += row.EnumPtrMS
-			acc.EnumEncMS += row.EnumEncMS
-			acc.AggPtrMS += row.AggPtrMS
-			acc.AggEncMS += row.AggEncMS
-			n++
-		}
-		if n == 0 {
-			return
-		}
-		f := float64(n)
-		x := func(ptr, enc float64) float64 {
-			if enc <= 0 {
-				return 0
-			}
-			return ptr / enc
-		}
-		fmt.Printf("retailer %d %d %d %d %.3f %.3f %.1f %.3f %.3f %.1f %.3f %.3f %.1f\n",
-			scale, acc.FRepSize/int64(n), acc.Tuples/int64(n), acc.Enumerated/int64(n),
-			acc.BuildPtrMS/f, acc.BuildEncMS/f, x(acc.BuildPtrMS, acc.BuildEncMS),
-			acc.EnumPtrMS/f, acc.EnumEncMS/f, x(acc.EnumPtrMS, acc.EnumEncMS),
-			acc.AggPtrMS/f, acc.AggEncMS/f, x(acc.AggPtrMS, acc.AggEncMS))
 	}
 }
 

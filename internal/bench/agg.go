@@ -126,7 +126,7 @@ func FoldAggregate(fr *frep.Enc, groupBy []relation.Attribute, specs []frep.AggS
 }
 
 func sortAggRows(rows []frep.AggRow) {
-	// Same order as FRep.Aggregate: lexicographic on the key values.
+	// Same order as Enc.Aggregate: lexicographic on the key values.
 	sort.Slice(rows, func(i, j int) bool { return aggKeyLess(rows[i].Key, rows[j].Key) })
 }
 

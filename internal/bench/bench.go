@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -255,7 +256,7 @@ func Exp3FromQuery(q *core.Query, cfg Exp3Config) (Exp3Row, error) {
 	if err != nil {
 		return row, err
 	}
-	fr, err := fbuild.Build(cloneRels(q.Relations), tr)
+	fr, err := fbuild.BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		return row, err
 	}
@@ -320,7 +321,7 @@ func Experiment4Point(rng *rand.Rand, cfg Exp4Config) (Exp4Row, error) {
 	if err != nil {
 		return row, err
 	}
-	fr, err := fbuild.Build(cloneRels(q.Relations), tr)
+	fr, err := fbuild.BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		return row, err
 	}
@@ -351,9 +352,9 @@ func Experiment4Point(rng *rand.Rand, cfg Exp4Config) (Exp4Row, error) {
 		return row, err
 	}
 	row.PlanCost = res.Cost
-	exec := fr.Clone()
 	start := time.Now()
-	if err := res.Plan.Execute(exec); err != nil {
+	exec, err := res.Plan.Execute(context.Background(), fr)
+	if err != nil {
 		return row, err
 	}
 	row.FDBMS = float64(time.Since(start).Microseconds()) / 1000
@@ -380,6 +381,10 @@ func Experiment4Point(rng *rand.Rand, cfg Exp4Config) (Exp4Row, error) {
 	return row, nil
 }
 
+func ms(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
+}
+
 func cloneRels(rels []*relation.Relation) []*relation.Relation {
 	out := make([]*relation.Relation, len(rels))
 	for i, r := range rels {
@@ -388,118 +393,78 @@ func cloneRels(rels []*relation.Relation) []*relation.Relation {
 	return out
 }
 
+// groceryEqs are the equalities of the running example: Q1's two, Q2's
+// one, then the two joining Q1 with Q2 on item and location (Example 2).
+var groceryEqs = []core.Equality{
+	{A: "o_item", B: "s_item"},
+	{A: "s_location", B: "d_location"},
+	{A: "p_supplier", B: "v_supplier"},
+	{A: "o_item", B: "p_item"},
+	{A: "s_location", B: "v_location"},
+}
+
+// groceryJoin factorises Q1 and Q2 of the running example over their
+// optimal f-trees and evaluates Q1 ⋈ Q2 with a full-search f-plan on the
+// product of the two representations.
+func groceryJoin() (f1, f2, joined *frep.Enc, err error) {
+	rels, _ := gen.Grocery()
+	build := func(q *core.Query) (*frep.Enc, error) {
+		t, _, err := opt.OptimalFTree(q.Classes(), q.Schemas(), opt.TreeSearchOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return fbuild.BuildEnc(cloneRels(q.Relations), t)
+	}
+	if f1, err = build(&core.Query{Relations: rels[:3], Equalities: groceryEqs[:2]}); err != nil {
+		return nil, nil, nil, err
+	}
+	if f2, err = build(&core.Query{Relations: rels[3:], Equalities: groceryEqs[2:3]}); err != nil {
+		return nil, nil, nil, err
+	}
+	prod, err := fplan.ProductEnc(f1, f2)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var conds []opt.Condition
+	for _, eq := range groceryEqs[3:] {
+		conds = append(conds, opt.Condition{A: eq.A, B: eq.B})
+	}
+	plan, err := opt.ExhaustivePlan(prod.Tree, conds, opt.PlanSearchOptions{})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	joined, err = plan.Plan.Execute(context.Background(), prod)
+	return f1, f2, joined, err
+}
+
 // GrocerySmoke runs the paper's running example end to end (Examples 1 and
 // 2): Q1 and Q2 factorised, joined on item and location via an f-plan. It
 // returns the sizes the introduction quotes and is used by tests and the
 // quickstart.
 func GrocerySmoke() (q1Size, q2Size, joinedSize int, err error) {
-	rels, _ := gen.Grocery()
-	q1 := &core.Query{
-		Relations: rels[:3],
-		Equalities: []core.Equality{
-			{A: "o_item", B: "s_item"},
-			{A: "s_location", B: "d_location"},
-		},
-	}
-	t1, _, err := opt.OptimalFTree(q1.Classes(), q1.Schemas(), opt.TreeSearchOptions{})
+	f1, f2, joined, err := groceryJoin()
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	f1, err := fbuild.Build(cloneRels(q1.Relations), t1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	q2 := &core.Query{
-		Relations:  rels[3:],
-		Equalities: []core.Equality{{A: "p_supplier", B: "v_supplier"}},
-	}
-	t2, _, err := opt.OptimalFTree(q2.Classes(), q2.Schemas(), opt.TreeSearchOptions{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	f2, err := fbuild.Build(cloneRels(q2.Relations), t2)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	// Q1 ⋈ Q2 on item and location (Example 2).
-	prod, err := fplan.Product(f1, f2)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	conds := []opt.Condition{
-		{A: "o_item", B: "p_item"},
-		{A: "s_location", B: "v_location"},
-	}
-	plan, err := opt.ExhaustivePlan(prod.Tree, conds, opt.PlanSearchOptions{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := plan.Plan.Execute(prod); err != nil {
-		return 0, 0, 0, err
-	}
-	return f1.Size(), f2.Size(), prod.Size(), nil
+	return f1.Size(), f2.Size(), joined.Size(), nil
 }
 
 // VerifyGroceryJoin recomputes the Example 2 join relationally and checks
 // the factorised pipeline result against it; used by tests.
 func VerifyGroceryJoin() error {
 	rels, _ := gen.Grocery()
-	full := &core.Query{
-		Relations: rels,
-		Equalities: []core.Equality{
-			{A: "o_item", B: "s_item"},
-			{A: "s_location", B: "d_location"},
-			{A: "p_supplier", B: "v_supplier"},
-			{A: "o_item", B: "p_item"},
-			{A: "s_location", B: "v_location"},
-		},
-	}
-	want, err := full.EvaluateFlat()
+	want, err := (&core.Query{Relations: rels, Equalities: groceryEqs}).EvaluateFlat()
 	if err != nil {
 		return err
 	}
-
-	// Factorised pipeline as in GrocerySmoke.
-	q1 := &core.Query{Relations: rels[:3], Equalities: full.Equalities[:2]}
-	t1, _, err := opt.OptimalFTree(q1.Classes(), q1.Schemas(), opt.TreeSearchOptions{})
+	_, _, joined, err := groceryJoin()
 	if err != nil {
 		return err
 	}
-	f1, err := fbuild.Build(cloneRels(q1.Relations), t1)
-	if err != nil {
-		return err
-	}
-	q2 := &core.Query{Relations: rels[3:], Equalities: full.Equalities[2:3]}
-	t2, _, err := opt.OptimalFTree(q2.Classes(), q2.Schemas(), opt.TreeSearchOptions{})
-	if err != nil {
-		return err
-	}
-	f2, err := fbuild.Build(cloneRels(q2.Relations), t2)
-	if err != nil {
-		return err
-	}
-	prod, err := fplan.Product(f1, f2)
-	if err != nil {
-		return err
-	}
-	conds := []opt.Condition{
-		{A: "o_item", B: "p_item"},
-		{A: "s_location", B: "v_location"},
-	}
-	plan, err := opt.ExhaustivePlan(prod.Tree, conds, opt.PlanSearchOptions{})
-	if err != nil {
-		return err
-	}
-	if err := plan.Plan.Execute(prod); err != nil {
-		return err
-	}
-	got := prod.Relation("got").Project(want.Schema)
+	got := joined.Relation("got").Project(want.Schema)
 	if !got.Equal(want) {
 		return fmt.Errorf("bench: factorised grocery join differs from relational result (%d vs %d tuples)",
 			got.Cardinality(), want.Cardinality())
 	}
 	return nil
 }
-
-// ensure frep is linked even if only used via types in signatures.
-var _ = frep.FRep{}

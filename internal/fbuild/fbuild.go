@@ -48,8 +48,8 @@ type builder struct {
 	ctx  context.Context
 	tick uint
 	err  error
-	// encoded-build state: the column builder and one reusable mark buffer
-	// per recursion depth (entry rollback on empty subtrees).
+	// the column builder and one reusable mark buffer per recursion depth
+	// (entry rollback on empty subtrees).
 	eb    *frep.EncBuilder
 	marks [][]int32
 }
@@ -93,9 +93,9 @@ func newBuilder(ctx context.Context, t *ftree.T) *builder {
 }
 
 // SortFor sorts each relation by its root-to-leaf path order in t — exactly
-// the order Build imposes — and verifies the path constraint. Callers that
-// reuse relations across many Build invocations (prepared statements) pay
-// the sort once here; Build's own SortBy then detects the sorted input and
+// the order BuildEnc imposes — and verifies the path constraint. Callers
+// that reuse relations across many builds (prepared statements) pay the
+// sort once here; the build's own SortBy then detects the sorted input and
 // becomes a read-only no-op, so the relations can be shared by concurrent
 // builds.
 func SortFor(rels []*relation.Relation, t *ftree.T) error {
@@ -108,68 +108,19 @@ func SortFor(rels []*relation.Relation, t *ftree.T) error {
 	return nil
 }
 
-// Build evaluates the natural join encoded by t over the given relations
-// and returns its factorised representation over t. Every attribute of
-// every relation must label a node of t, and each relation's nodes must lie
-// on one root-to-leaf path (the path constraint). Relations are sorted in
-// place by their path order (a no-op if already sorted, e.g. via SortFor).
-func Build(rels []*relation.Relation, t *ftree.T) (*frep.FRep, error) {
-	return BuildContext(context.Background(), rels, t)
-}
-
-// BuildContext is Build with cancellation: the construction polls ctx at
-// regular checkpoints and aborts with ctx's error, so long factorisation
-// builds can be abandoned by impatient callers.
-func BuildContext(ctx context.Context, rels []*relation.Relation, t *ftree.T) (*frep.FRep, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	b := newBuilder(ctx, t)
-
-	states := make([]*relState, 0, len(rels))
-	for _, r := range rels {
-		st, err := b.newState(r)
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, st)
-	}
-
-	fr := &frep.FRep{Tree: t}
-	empty := false
-	for _, root := range t.Roots {
-		var mine []*relState
-		for _, st := range states {
-			if len(st.nodes) > 0 && b.inSubtree(st.nodes[0], root) {
-				mine = append(mine, st)
-			}
-		}
-		u := b.buildUnion(root, mine)
-		if b.err != nil {
-			return nil, b.err
-		}
-		if len(u.Entries) == 0 {
-			empty = true
-		}
-		fr.Roots = append(fr.Roots, u)
-	}
-	fr.Empty = empty
-	if empty {
-		for i := range fr.Roots {
-			fr.Roots[i] = &frep.Union{}
-		}
-	}
-	return fr, nil
-}
-
 // BuildEnc evaluates the natural join encoded by t over the given relations
-// directly into the arena-backed columnar representation — no intermediate
-// pointer tree is ever materialised. Same contract as Build otherwise.
+// and returns its factorised representation over t, emitted directly into
+// the arena-backed columns. Every attribute of every relation must label a
+// node of t, and each relation's nodes must lie on one root-to-leaf path
+// (the path constraint). Relations are sorted in place by their path order
+// (a no-op if already sorted, e.g. via SortFor).
 func BuildEnc(rels []*relation.Relation, t *ftree.T) (*frep.Enc, error) {
 	return BuildEncContext(context.Background(), rels, t)
 }
 
-// BuildEncContext is BuildEnc with cancellation, mirroring BuildContext.
+// BuildEncContext is BuildEnc with cancellation: the construction polls ctx
+// at regular checkpoints and aborts with ctx's error, so long
+// factorisation builds can be abandoned by impatient callers.
 func BuildEncContext(ctx context.Context, rels []*relation.Relation, t *ftree.T) (*frep.Enc, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -217,13 +168,11 @@ func (b *builder) markAt(d int) []int32 {
 	return b.marks[d][:0]
 }
 
-// buildUnionEnc is buildUnion emitting entries straight into the column
-// builder; it returns the number of entries emitted into the (still open)
-// union of node. Entries whose subtree empties are rolled back.
-//
-// NOTE: the leapfrog core is a deliberate copy of buildUnion's (the two
-// differ only in emission) — apply any join-logic fix to both; the
-// TestBuildEncMatchesBuild parity test guards the results.
+// buildUnionEnc constructs the union for node from the relations routed
+// here, emitting entries straight into the column builder; it returns the
+// number of entries emitted into the (still open) union of node. Entries
+// whose subtree empties are rolled back. Relations in states either have
+// node as their next class (active) or start deeper (dormant).
 func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, depth int) int {
 	var active []*relState
 	for _, st := range states {
@@ -236,6 +185,7 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 		// trees (every class stems from some relation), so treat as empty.
 		return 0
 	}
+	// Leapfrog over the active relations' first class column.
 	count := 0
 	cur := make([]int, len(active)) // scan position within [lo,hi)
 	for i, st := range active {
@@ -245,6 +195,8 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 		if b.checkpoint() {
 			return count
 		}
+		// Propose the maximum of the current values; any relation exhausted
+		// ends the union.
 		var v relation.Value
 		for i, st := range active {
 			if cur[i] >= st.hi {
@@ -254,6 +206,7 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 				v = val
 			}
 		}
+		// Seek all relations to >= v; retry while they disagree.
 		agreed := true
 		for i, st := range active {
 			col := st.cols[st.next][0]
@@ -268,6 +221,8 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 		if !agreed {
 			continue
 		}
+		// Candidate v: narrow every active relation to its v-range,
+		// including equality across extra same-class columns.
 		type saved struct{ lo, hi, next int }
 		save := make([]saved, len(active))
 		ok := true
@@ -276,6 +231,8 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 			cols := st.cols[st.next]
 			lo := cur[i]
 			hi := st.seek(cols[0], v+1, lo, st.hi)
+			// Extra columns of the same class must also equal v; the range
+			// [lo,hi) is sorted by them in order.
 			for _, c := range cols[1:] {
 				lo = st.seek(c, v, lo, hi)
 				hi = st.seek(c, v+1, lo, hi)
@@ -312,6 +269,7 @@ func (b *builder) buildUnionEnc(node *ftree.Node, ni int, states []*relState, de
 				b.eb.Rollback(ni, b.marks[depth])
 			}
 		}
+		// Restore and advance past v.
 		for i, st := range active {
 			st.lo, st.hi, st.next = save[i].lo, save[i].hi, save[i].next
 			cur[i] = st.seek(st.cols[st.next][0], v+1, cur[i], st.hi)
@@ -365,114 +323,4 @@ func (st *relState) seek(col int, v relation.Value, lo, hi int) int {
 	return lo + sort.Search(hi-lo, func(i int) bool {
 		return st.rel.Tuples[lo+i][col] >= v
 	})
-}
-
-// buildUnion constructs the union for node from the relations routed here.
-// Relations in states either have node as their next class (active) or
-// start deeper (dormant).
-//
-// NOTE: the leapfrog core (propose-max, seek/agree, range narrowing,
-// save/restore) is intentionally duplicated in buildUnionEnc, which differs
-// only in how entries are emitted — keep the two in lockstep (the
-// TestBuildEncMatchesBuild parity test guards the results).
-func (b *builder) buildUnion(node *ftree.Node, states []*relState) *frep.Union {
-	var active []*relState
-	for _, st := range states {
-		if st.next < len(st.nodes) && st.nodes[st.next] == node {
-			active = append(active, st)
-		}
-	}
-	u := &frep.Union{}
-	if len(active) == 0 {
-		// No relation constrains this class: impossible for query-derived
-		// trees (every class stems from some relation), so treat as empty.
-		return u
-	}
-
-	// Leapfrog over the active relations' first class column.
-	cur := make([]int, len(active)) // scan position within [lo,hi)
-	for i, st := range active {
-		cur[i] = st.lo
-	}
-	for {
-		if b.checkpoint() {
-			return u
-		}
-		// Propose the maximum of the current values; any relation exhausted
-		// ends the union.
-		var v relation.Value
-		for i, st := range active {
-			if cur[i] >= st.hi {
-				return u
-			}
-			if val := st.rel.Tuples[cur[i]][st.cols[st.next][0]]; i == 0 || val > v {
-				v = val
-			}
-		}
-		// Seek all relations to >= v; retry while they disagree.
-		agreed := true
-		for i, st := range active {
-			col := st.cols[st.next][0]
-			cur[i] = st.seek(col, v, cur[i], st.hi)
-			if cur[i] >= st.hi {
-				return u
-			}
-			if st.rel.Tuples[cur[i]][col] != v {
-				agreed = false
-			}
-		}
-		if !agreed {
-			continue
-		}
-		// Candidate v: narrow every active relation to its v-range,
-		// including equality across extra same-class columns.
-		type saved struct{ lo, hi, next int }
-		save := make([]saved, len(active))
-		ok := true
-		for i, st := range active {
-			save[i] = saved{st.lo, st.hi, st.next}
-			cols := st.cols[st.next]
-			lo := cur[i]
-			hi := st.seek(cols[0], v+1, lo, st.hi)
-			// Extra columns of the same class must also equal v; the range
-			// [lo,hi) is sorted by them in order.
-			for _, c := range cols[1:] {
-				lo = st.seek(c, v, lo, hi)
-				hi = st.seek(c, v+1, lo, hi)
-			}
-			if lo >= hi {
-				ok = false
-			}
-			st.lo, st.hi = lo, hi
-			st.next++
-		}
-		if ok {
-			entry := frep.Entry{Val: v}
-			alive := true
-			for _, child := range node.Children {
-				var mine []*relState
-				for _, st := range states {
-					if st.next < len(st.nodes) && b.inSubtree(st.nodes[st.next], child) {
-						mine = append(mine, st)
-					}
-				}
-				cu := b.buildUnion(child, mine)
-				if len(cu.Entries) == 0 {
-					alive = false
-					break
-				}
-				entry.Children = append(entry.Children, cu)
-			}
-			if alive {
-				// Fill any skipped child slots (when a later child produced
-				// the emptiness we never reach here, so slots are complete).
-				u.Entries = append(u.Entries, entry)
-			}
-		}
-		// Restore and advance past v.
-		for i, st := range active {
-			st.lo, st.hi, st.next = save[i].lo, save[i].hi, save[i].next
-			cur[i] = st.seek(st.cols[st.next][0], v+1, cur[i], st.hi)
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/gen"
 	"repro/internal/opt"
@@ -36,7 +37,7 @@ func TestGroceryQ1(t *testing.T) {
 		},
 	}
 	tr := buildTreeFor(t, q)
-	f, err := Build(q.Relations, tr)
+	f, err := BuildEnc(q.Relations, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestRandomJoinsAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := buildTreeFor(t, q)
-		f, err := Build(cloneRels(q.Relations), tr)
+		f, err := BuildEnc(cloneRels(q.Relations), tr)
 		if err != nil {
 			t.Fatalf("trial %d: %v\ntree:\n%s", trial, err, tr)
 		}
@@ -107,7 +108,7 @@ func TestChainQueryFactorisationGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := gen.ChainQuery(rng, 4, 30, 3) // dense joins: values in [1,3]
 	tr := buildTreeFor(t, q)
-	f, err := Build(cloneRels(q.Relations), tr)
+	f, err := BuildEnc(cloneRels(q.Relations), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPathConstraintViolationRejected(t *testing.T) {
 		relation.NewAttrSet("A", "B"), relation.NewAttrSet("C")})
 	s := relation.New("S", relation.Schema{"C"})
 	s.Append(7)
-	if _, err := Build([]*relation.Relation{r, s}, tr); err == nil {
+	if _, err := BuildEnc([]*relation.Relation{r, s}, tr); err == nil {
 		t.Fatal("path constraint violation accepted")
 	}
 }
@@ -146,7 +147,7 @@ func TestMissingAttributeRejected(t *testing.T) {
 	r.Append(1, 2)
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A")},
 		[]relation.AttrSet{relation.NewAttrSet("A", "Z")})
-	if _, err := Build([]*relation.Relation{r}, tr); err == nil {
+	if _, err := BuildEnc([]*relation.Relation{r}, tr); err == nil {
 		t.Fatal("missing attribute accepted")
 	}
 }
@@ -160,7 +161,7 @@ func TestEmptyJoinResult(t *testing.T) {
 	root := ftree.NewNode("A", "B")
 	tr := ftree.New([]*ftree.Node{root}, []relation.AttrSet{
 		relation.NewAttrSet("A"), relation.NewAttrSet("B")})
-	f, err := Build([]*relation.Relation{r, s}, tr)
+	f, err := BuildEnc([]*relation.Relation{r, s}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestWithinRelationEquality(t *testing.T) {
 	root := ftree.NewNode("A", "B").Add(ftree.NewNode("C"))
 	tr := ftree.New([]*ftree.Node{root},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	f, err := Build([]*relation.Relation{r}, tr)
+	f, err := BuildEnc([]*relation.Relation{r}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +206,10 @@ func min(a, b int) int {
 	return b
 }
 
-// TestBuildEncMatchesBuild: on random queries, the encoded build produces
-// exactly the encoding of the pointer build (same tree, same data, same
-// layout), and it validates.
-func TestBuildEncMatchesBuild(t *testing.T) {
+// TestBuildEncMatchesOracle: on random queries, the build produces exactly
+// the factorisation of the flat reference result over the same tree (the
+// representation over a fixed f-tree is unique), and it validates.
+func TestBuildEncMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for i := 0; i < 40; i++ {
 		q, err := gen.RandomQuery(rng, 3, 7, 40, 2, gen.Uniform, 8)
@@ -219,7 +220,11 @@ func TestBuildEncMatchesBuild(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		fr, err := Build(cloneRels(q.Relations), tr.Clone())
+		want, err := q.EvaluateFlat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := frep.FromRelation(tr.Clone(), want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,16 +235,13 @@ func TestBuildEncMatchesBuild(t *testing.T) {
 		if err := enc.Validate(); err != nil {
 			t.Fatalf("encoded build invalid: %v", err)
 		}
-		if !enc.Equal(fr.Encode()) {
-			t.Fatalf("encoded build differs from encoded pointer build\ntree:\n%s", tr)
-		}
-		if !enc.Decode().Equal(fr) {
-			t.Fatalf("decoded encoded build differs from pointer build\ntree:\n%s", tr)
+		if !enc.Equal(ref) {
+			t.Fatalf("build differs from the factorised reference result\ntree:\n%s", tr)
 		}
 	}
 }
 
-// TestBuildEncEmpty: the encoded build detects empty joins like Build.
+// TestBuildEncEmpty: the encoded build detects empty joins.
 func TestBuildEncEmpty(t *testing.T) {
 	r := relation.New("R", relation.Schema{"A"})
 	r.Append(1)

@@ -10,8 +10,8 @@ import (
 )
 
 // encFixture builds the two-relation product fixture of endtoend_test and
-// returns the pointer form (encoded forms are derived per test).
-func encFixture(rng *rand.Rand) (*frep.FRep, error) {
+// returns its factorisation together with the flat relation it represents.
+func encFixture(rng *rand.Rand) (*frep.Enc, *relation.Relation, error) {
 	deps := []relation.AttrSet{
 		relation.NewAttrSet("A", "B"),
 		relation.NewAttrSet("C", "D"),
@@ -31,13 +31,36 @@ func encFixture(rng *rand.Rand) (*frep.FRep, error) {
 		ftree.NewNode("A").Add(ftree.NewNode("B")),
 		ftree.NewNode("C").Add(ftree.NewNode("D")),
 	}
-	return frep.FromRelation(ftree.New(roots, deps), shadow)
+	e, err := frep.FromRelation(ftree.New(roots, deps), shadow)
+	return e, shadow, err
+}
+
+// oracleAfter is the flat answer of op applied to r: equality selections
+// for merge and absorb, the predicate for selections, r itself for the
+// restructuring operators.
+func oracleAfter(op Op, r *relation.Relation) *relation.Relation {
+	col := func(a relation.Attribute) int { return r.Schema.Index(a) }
+	switch o := op.(type) {
+	case Merge:
+		a, b := col(o.A), col(o.B)
+		return r.Select(func(t relation.Tuple) bool { return t[a] == t[b] })
+	case Absorb:
+		a, b := col(o.A), col(o.B)
+		return r.Select(func(t relation.Tuple) bool { return t[a] == t[b] })
+	case SelectConst:
+		a := col(o.A)
+		return r.Select(func(t relation.Tuple) bool { return o.Op.eval(t[a], o.C) })
+	case SelectFn:
+		a := col(o.A)
+		return r.Select(func(t relation.Tuple) bool { return o.Keep(t[a]) })
+	}
+	return r
 }
 
 // randomEncOp picks a random operator (the endtoend set plus push-up and
 // normalise); applicability is not guaranteed — error parity is part of
 // the property.
-func randomEncOp(rng *rand.Rand, f *frep.FRep) Op {
+func randomEncOp(rng *rand.Rand, f *frep.Enc) Op {
 	var attrs []relation.Attribute
 	for a := range f.Tree.Attrs() {
 		attrs = append(attrs, a)
@@ -77,57 +100,51 @@ func randomEncOp(rng *rand.Rand, f *frep.FRep) Op {
 	}
 }
 
-// TestApplyEncMatchesApplyRandom: random operator sequences applied to the
-// pointer and encoded forms in lockstep yield equal representations (and
-// equal error outcomes) at every step.
-func TestApplyEncMatchesApplyRandom(t *testing.T) {
+// TestApplyEncMatchesOracleRandom: random operator sequences — every
+// operator, swap and absorb included — yield at every step the unique
+// factorisation of the flat oracle over the schema-level result tree, and
+// fail exactly when the schema-level transform does.
+func TestApplyEncMatchesOracleRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 80; trial++ {
-		f, err := encFixture(rng)
+		enc, shadow, err := encFixture(rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		enc := f.Clone().Encode()
 		for s := 0; s < 6; s++ {
-			op := randomEncOp(rng, f)
+			op := randomEncOp(rng, enc)
 			if op == nil {
 				continue
 			}
-			errP := op.Apply(f)
-			enc2, errE := ApplyEnc(op, enc)
-			if (errP == nil) != (errE == nil) {
-				t.Fatalf("trial %d step %d (%s): pointer err %v, encoded err %v", trial, s, op, errP, errE)
+			errT := op.ApplyTree(enc.Tree.Clone())
+			if _, errE := ApplyEnc(op, enc); (errT == nil) != (errE == nil) {
+				t.Fatalf("trial %d step %d (%s): tree err %v, encoded err %v", trial, s, op, errT, errE)
 			}
-			if errP != nil {
-				continue // applicability errors precede mutation on both sides
+			if errT != nil {
+				continue
 			}
-			enc = enc2
-			if err := enc.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): encoded invalid: %v", trial, s, op, err)
-			}
-			if enc.Tree.Canonical() != f.Tree.Canonical() {
-				t.Fatalf("trial %d step %d (%s): trees diverged\nenc:\n%s\nptr:\n%s",
-					trial, s, op, enc.Tree, f.Tree)
-			}
-			if !enc.Equal(f.Encode()) {
-				t.Fatalf("trial %d step %d (%s): representations diverged\nenc: %s\nptr: %s\ntree:\n%s",
-					trial, s, op, enc, f, f.Tree)
-			}
+			shadow = oracleAfter(op, shadow)
+			enc = applyChecked(t, op, enc, shadow)
 		}
 	}
 }
 
-// TestProjectEncMatchesApply: projection onto random attribute subsets
-// agrees between the forms (leaf drops and swap-down bridges included).
-func TestProjectEncMatchesApply(t *testing.T) {
+// TestProjectEncMatchesOracle: projection onto random attribute subsets
+// (leaf drops and swap-downs of inner hidden nodes included) yields the
+// factorisation of the projected oracle.
+func TestProjectEncMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	all := []relation.Attribute{"A", "B", "C", "D"}
 	for trial := 0; trial < 60; trial++ {
-		f, err := encFixture(rng)
+		enc, shadow, err := encFixture(rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		enc := f.Clone().Encode()
+		// Restructure first, so hidden nodes sit at varying depths.
+		if op := randomEncOp(rng, enc); op != nil && op.ApplyTree(enc.Tree.Clone()) == nil {
+			shadow = oracleAfter(op, shadow)
+			enc = applyChecked(t, op, enc, shadow)
+		}
 		var keep []relation.Attribute
 		for _, a := range all {
 			if rng.Intn(2) == 0 {
@@ -137,56 +154,39 @@ func TestProjectEncMatchesApply(t *testing.T) {
 		if len(keep) == 0 {
 			keep = []relation.Attribute{all[rng.Intn(len(all))]}
 		}
-		op := Project{Attrs: keep}
-		errP := op.Apply(f)
-		enc2, errE := ApplyEnc(op, enc)
-		if (errP == nil) != (errE == nil) {
-			t.Fatalf("trial %d π%v: pointer err %v, encoded err %v", trial, keep, errP, errE)
-		}
-		if errP != nil {
-			continue
-		}
-		if err := enc2.Validate(); err != nil {
-			t.Fatalf("trial %d π%v: encoded invalid: %v", trial, keep, err)
-		}
-		if !enc2.Equal(f.Encode()) {
-			t.Fatalf("trial %d π%v: diverged\nenc: %s\nptr: %s", trial, keep, enc2, f)
-		}
+		out := applyChecked(t, Project{Attrs: keep}, enc, shadow)
+		sameRelation(t, out, shadow.Project(keep), "projection wrong")
 	}
 }
 
-// TestLiftEncMatchesApply: the lift restructuring (a swap sequence through
-// the decode bridge) agrees with the pointer form.
-func TestLiftEncMatchesApply(t *testing.T) {
+// TestLiftEncMatchesOracle: lifting (a loop of native swaps) keeps the
+// represented relation, reaches a lifted tree, and matches the oracle's
+// factorisation over it.
+func TestLiftEncMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	all := []relation.Attribute{"A", "B", "C", "D"}
 	for trial := 0; trial < 40; trial++ {
-		f, err := encFixture(rng)
+		enc, shadow, err := encFixture(rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		enc := f.Clone().Encode()
-		lift := Lift{Attrs: []relation.Attribute{all[rng.Intn(len(all))]}}
-		errP := lift.Apply(f)
-		enc2, errE := ApplyEnc(lift, enc)
-		if (errP == nil) != (errE == nil) {
-			t.Fatalf("trial %d %s: pointer err %v, encoded err %v", trial, lift, errP, errE)
+		attrs := []relation.Attribute{all[rng.Intn(len(all))]}
+		if rng.Intn(2) == 0 {
+			attrs = append(attrs, all[rng.Intn(len(all))])
 		}
-		if errP != nil {
-			continue
-		}
-		if !enc2.Equal(f.Encode()) {
-			t.Fatalf("trial %d %s: diverged", trial, lift)
+		out := applyChecked(t, Lift{Attrs: attrs}, enc, shadow)
+		if !Lifted(out.Tree, attrs) {
+			t.Fatalf("trial %d: λ%v left the tree unlifted:\n%s", trial, attrs, out.Tree)
 		}
 	}
 }
 
-// TestProductEncMatchesProduct: the encoded Cartesian product equals the
-// encoding of the pointer product.
+// TestProductEncMatchesProduct: the encoded Cartesian product is the
+// factorisation of the flat product over the product forest.
 func TestProductEncMatchesProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
-		f, err := encFixture(rng)
+		f, shadow, err := encFixture(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,33 +200,28 @@ func TestProductEncMatchesProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Product(f, g)
+		got, err := ProductEnc(f, g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProductEnc(f.Clone().Encode(), g.Clone().Encode())
-		if err != nil {
-			t.Fatal(err)
+		checkValid(t, got)
+		want := mustFromRelation(t, got.Tree.Clone(), shadow.Product(re))
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: product differs from the factorised flat product", trial)
 		}
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: product invalid: %v", trial, err)
-		}
-		if !got.Equal(want.Encode()) {
-			t.Fatalf("trial %d: product diverged", trial)
-		}
-		// Overlapping attributes must be rejected on both sides.
-		if _, err := ProductEnc(got, f.Clone().Encode()); err == nil {
+		// Overlapping attributes must be rejected.
+		if _, err := ProductEnc(got, f); err == nil {
 			t.Fatal("overlapping product accepted")
 		}
 	}
 }
 
 // TestSelectFnDirect pins the SelectFn surface: rendering, the unknown-
-// attribute error on both forms, and a decoded-order-style predicate
+// attribute error on the tree and the data, and a decoded-order-style predicate
 // filtering the encoded form without marking anything constant.
 func TestSelectFnDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	f, err := encFixture(rng)
+	f, _, err := encFixture(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +233,10 @@ func TestSelectFnDirect(t *testing.T) {
 	if err := bad.ApplyTree(f.Tree.Clone()); err == nil {
 		t.Error("ApplyTree accepted unknown attribute")
 	}
-	if _, err := ApplyEnc(bad, f.Clone().Encode()); err == nil {
+	if _, err := ApplyEnc(bad, f); err == nil {
 		t.Error("ApplyEnc accepted unknown attribute")
 	}
-	enc, err := ApplyEnc(op, f.Clone().Encode())
+	enc, err := ApplyEnc(op, f)
 	if err != nil {
 		t.Fatal(err)
 	}

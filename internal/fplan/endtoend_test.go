@@ -13,8 +13,8 @@ import (
 // test: starting from a factorisation of a random relation over a chain
 // f-tree, apply a random sequence of valid operators and verify after every
 // step that (1) the structure stays valid, (2) the represented relation
-// matches a shadow relational computation, and (3) the order and
-// normalisation invariants hold where promised.
+// matches a shadow relational computation, and (3) the tree matches the
+// schema-level transform (see applyChecked).
 func TestRandomOperatorSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 40; trial++ {
@@ -52,16 +52,8 @@ func TestRandomOperatorSequences(t *testing.T) {
 			if op == nil {
 				break
 			}
-			if err := op.Apply(f); err != nil {
-				t.Fatalf("trial %d step %d (%s): %v", trial, s, op, err)
-			}
+			f = applyChecked(t, op, f, expect)
 			shadow = expect
-			if err := f.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): invalid rep: %v", trial, s, op, err)
-			}
-			if err := f.Tree.Validate(); err != nil {
-				t.Fatalf("trial %d step %d (%s): invalid tree: %v", trial, s, op, err)
-			}
 			if f.IsEmpty() {
 				if shadow.Cardinality() != 0 {
 					t.Fatalf("trial %d step %d (%s): engine empty, shadow has %d",
@@ -81,7 +73,7 @@ func TestRandomOperatorSequences(t *testing.T) {
 
 // randomOp picks a random applicable operator and computes the expected
 // shadow relation after it.
-func randomOp(rng *rand.Rand, f *frep.FRep, shadow *relation.Relation) (Op, *relation.Relation) {
+func randomOp(rng *rand.Rand, f *frep.Enc, shadow *relation.Relation) (Op, *relation.Relation) {
 	var attrs []relation.Attribute
 	for a := range f.Tree.Attrs() {
 		attrs = append(attrs, a)

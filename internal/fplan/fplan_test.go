@@ -43,7 +43,7 @@ func chainTree(attrs []relation.Attribute, deps []relation.AttrSet) *ftree.T {
 	return ftree.New([]*ftree.Node{root}, deps)
 }
 
-func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *frep.FRep {
+func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *frep.Enc {
 	t.Helper()
 	f, err := frep.FromRelation(tr, r)
 	if err != nil {
@@ -52,7 +52,7 @@ func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *frep.FRe
 	return f
 }
 
-func checkValid(t *testing.T, f *frep.FRep) {
+func checkValid(t *testing.T, f *frep.Enc) {
 	t.Helper()
 	if err := f.Validate(); err != nil {
 		t.Fatalf("invalid representation: %v\ntree:\n%s", err, f.Tree)
@@ -64,7 +64,7 @@ func checkValid(t *testing.T, f *frep.FRep) {
 
 // sameRelation compares the representation against a reference relation,
 // aligning schemas.
-func sameRelation(t *testing.T, f *frep.FRep, want *relation.Relation, msg string) {
+func sameRelation(t *testing.T, f *frep.Enc, want *relation.Relation, msg string) {
 	t.Helper()
 	got := f.Relation("got")
 	w := want.Project(got.Schema)
@@ -73,10 +73,45 @@ func sameRelation(t *testing.T, f *frep.FRep, want *relation.Relation, msg strin
 	}
 }
 
+// applyChecked runs op natively on f and checks the result three ways: it
+// validates; its tree is op.ApplyTree on a clone of f's tree; and it is
+// Equal to the factorisation, over that tree, of oracle — the expected
+// answer over every attribute of the tree, hidden ones included (extra
+// oracle columns are projected away; nil skips this check). Over a fixed
+// f-tree the representation with sorted, duplicate-free, non-empty unions
+// is unique, so the last check pins the output entry for entry.
+func applyChecked(t *testing.T, op Op, f *frep.Enc, oracle *relation.Relation) *frep.Enc {
+	t.Helper()
+	out, err := ApplyEnc(op, f)
+	if err != nil {
+		t.Fatalf("%v: %v", op, err)
+	}
+	checkValid(t, out)
+	want := f.Tree.Clone()
+	if err := op.ApplyTree(want); err != nil {
+		t.Fatalf("%v: ApplyTree: %v", op, err)
+	}
+	if out.Tree.String() != want.String() || out.Tree.Canonical() != want.Canonical() {
+		t.Fatalf("%v: result tree\n%s\ndiffers from ApplyTree's\n%s", op, out.Tree, want)
+	}
+	if oracle == nil {
+		return out
+	}
+	ref, err := frep.FromRelation(out.Tree.Clone(), oracle.Project(out.Tree.Attrs().Sorted()))
+	if err != nil {
+		t.Fatalf("%v: oracle does not factorise over the result tree: %v", op, err)
+	}
+	if !out.Equal(ref) {
+		t.Fatalf("%v: result\n%s\ndiffers from the oracle's factorisation\n%s\ntree:\n%s", op, out, ref, out.Tree)
+	}
+	return out
+}
+
 // --- swap -----------------------------------------------------------------
 
-// TestSwapPreservesRelation: swapping any parent-child pair leaves the
-// represented relation unchanged and matches the tree-level transform.
+// TestSwapPreservesRelation: swapping any parent-child pair — at the root
+// and below a parent — leaves the represented relation unchanged and
+// matches the tree-level transform.
 func TestSwapPreservesRelationRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	attrs := []relation.Attribute{"A", "B", "C", "D"}
@@ -91,19 +126,56 @@ func TestSwapPreservesRelationRandom(t *testing.T) {
 		for i, p := range perm {
 			shuffled[i] = attrs[p]
 		}
-		tr := chainTree(shuffled, deps)
-		f := mustFromRelation(t, tr, r)
-		// Swap a random adjacent pair on the chain.
-		i := rng.Intn(len(shuffled) - 1)
-		a, b := shuffled[i], shuffled[i+1]
-		if err := (Swap{A: a, B: b}).Apply(f); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		f := mustFromRelation(t, chainTree(shuffled, deps), r)
+		// Swap every adjacent pair on the chain, each on the original.
+		for i := 0; i+1 < len(shuffled); i++ {
+			a, b := shuffled[i], shuffled[i+1]
+			out := applyChecked(t, Swap{A: a, B: b}, f, r)
+			sameRelation(t, out, r, "swap changed the relation")
+			// The node of b must now be the parent of the node of a.
+			if out.Tree.ParentOf(out.Tree.NodeOf(a)) != out.Tree.NodeOf(b) {
+				t.Fatalf("trial %d: swap did not exchange the nodes:\n%s", trial, out.Tree)
+			}
 		}
-		checkValid(t, f)
-		sameRelation(t, f, r, "swap changed the relation")
-		// The node of b must now be the parent of the node of a.
-		if f.Tree.ParentOf(f.Tree.NodeOf(a)) != f.Tree.NodeOf(b) {
-			t.Fatalf("trial %d: swap did not exchange the nodes:\n%s", trial, f.Tree)
+	}
+}
+
+// TestSwapSplitsChildren swaps χ_{A,B} below a parent P on the tree
+// P → A → {B → {C, D}, E} of R(P,A,B,C) ⋈ S(B,D) ⋈ T(A,E): C depends on A
+// and moves under it, D stays with B, E stays with A, and B takes A's
+// place under P.
+func TestSwapSplitsChildren(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	deps := []relation.AttrSet{
+		relation.NewAttrSet("P", "A", "B", "C"),
+		relation.NewAttrSet("B", "D"),
+		relation.NewAttrSet("A", "E"),
+	}
+	for trial := 0; trial < 30; trial++ {
+		r := randRel(rng, "R", relation.Schema{"P", "A", "B", "C"}, 1+rng.Intn(20), 3)
+		s := randRel(rng, "S", relation.Schema{"B", "D"}, 1+rng.Intn(6), 3)
+		u := randRel(rng, "T", relation.Schema{"A", "E"}, 1+rng.Intn(6), 3)
+		join := relation.New("J", relation.Schema{"P", "A", "B", "C", "D", "E"})
+		for _, x := range r.Tuples {
+			for _, y := range s.Tuples {
+				for _, z := range u.Tuples {
+					if x[2] == y[0] && x[1] == z[0] {
+						join.Append(x[0], x[1], x[2], x[3], y[1], z[1])
+					}
+				}
+			}
+		}
+		if join.Cardinality() == 0 {
+			continue
+		}
+		b := ftree.NewNode("B").Add(ftree.NewNode("C"), ftree.NewNode("D"))
+		tr := ftree.New([]*ftree.Node{
+			ftree.NewNode("P").Add(ftree.NewNode("A").Add(b, ftree.NewNode("E"))),
+		}, deps)
+		out := applyChecked(t, Swap{A: "A", B: "B"}, mustFromRelation(t, tr, join), join)
+		want := "P\n  B\n    D\n    A\n      E\n      C\n"
+		if got := out.Tree.String(); got != want {
+			t.Fatalf("trial %d: swapped tree\n%s\nwant\n%s", trial, got, want)
 		}
 	}
 }
@@ -114,10 +186,7 @@ func TestSwapT1ToT2Grocery(t *testing.T) {
 	q1, rels := groceryQ1(t)
 	tr1 := groceryT1(rels)
 	f := mustFromRelation(t, tr1, q1)
-	if err := (Swap{A: "item", B: "location"}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, f)
+	f = applyChecked(t, Swap{A: "item", B: "location"}, f, q1)
 	// The post-swap tree is T2 up to sibling order, and the data must be
 	// exactly the factorisation of Q1 over that tree.
 	if f.Tree.Canonical() != groceryT2(rels).Canonical() {
@@ -148,10 +217,7 @@ func TestNormalisePushesIndependentParts(t *testing.T) {
 			[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("C")})
 		f := mustFromRelation(t, tr, full)
 		sizeBefore := f.Size()
-		if err := (Normalise{}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
+		f = applyChecked(t, Normalise{}, f, full)
 		if !f.Tree.IsNormalised() {
 			t.Fatalf("trial %d: tree not normalised:\n%s", trial, f.Tree)
 		}
@@ -180,23 +246,15 @@ func TestMergeIsJoinRandom(t *testing.T) {
 			continue
 		}
 		fr := mustFromRelation(t,
-			chainTree([]relation.Attribute{"A", "B"}, nil), r)
+			chainTree([]relation.Attribute{"A", "B"}, []relation.AttrSet{relation.NewAttrSet("A", "B")}), r)
 		fs := mustFromRelation(t,
-			chainTree([]relation.Attribute{"C", "D"}, nil), s)
-		// Rebuild with proper dep sets for the product.
-		prod, err := Product(fr, fs)
+			chainTree([]relation.Attribute{"C", "D"}, []relation.AttrSet{relation.NewAttrSet("C", "D")}), s)
+		prod, err := ProductEnc(fr, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod.Tree.Rels = []relation.AttrSet{
-			relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")}
-		prod.Tree.Deps = []relation.AttrSet{
-			relation.NewAttrSet("A", "B"), relation.NewAttrSet("C", "D")}
-		if err := (Merge{A: "A", B: "C"}).Apply(prod); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, prod)
 		want := r.Product(s).Select(func(tp relation.Tuple) bool { return tp[0] == tp[2] })
+		prod = applyChecked(t, Merge{A: "A", B: "C"}, prod, want)
 		if prod.IsEmpty() {
 			if want.Cardinality() != 0 {
 				t.Fatalf("trial %d: merge produced empty, expected %d tuples", trial, want.Cardinality())
@@ -210,34 +268,49 @@ func TestMergeIsJoinRandom(t *testing.T) {
 // --- absorb -----------------------------------------------------------------
 
 // TestAbsorbIsSelection: absorbing a descendant into an ancestor computes
-// the equality selection between their attributes.
+// the equality selection between their attributes — one level down, several
+// levels down, and below a parent whose entries the restriction can kill.
 func TestAbsorbIsSelectionRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	attrs := []relation.Attribute{"A", "B", "C"}
-	deps := []relation.AttrSet{relation.NewAttrSet("A", "B", "C")}
+	attrs := []relation.Attribute{"A", "B", "C", "D"}
+	deps := []relation.AttrSet{relation.NewAttrSet("A", "B", "C", "D")}
+	pairs := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {2, 3}}
 	for trial := 0; trial < 40; trial++ {
 		r := randRel(rng, "R", relation.Schema(attrs), 1+rng.Intn(30), 3)
 		if r.Cardinality() == 0 {
 			continue
 		}
-		tr := chainTree(attrs, deps)
-		f := mustFromRelation(t, tr, r)
-		if err := (Absorb{A: "A", B: "C"}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
-		want := r.Select(func(tp relation.Tuple) bool { return tp[0] == tp[2] })
-		if f.IsEmpty() {
-			if want.Cardinality() != 0 {
-				t.Fatalf("trial %d: absorb emptied, expected %d tuples", trial, want.Cardinality())
+		f := mustFromRelation(t, chainTree(attrs, deps), r)
+		for _, pr := range pairs {
+			i, j := pr[0], pr[1]
+			want := r.Select(func(tp relation.Tuple) bool { return tp[i] == tp[j] })
+			out := applyChecked(t, Absorb{A: attrs[i], B: attrs[j]}, f, want)
+			if out.IsEmpty() != (want.Cardinality() == 0) {
+				t.Fatalf("trial %d: α[%s,%s] empty=%v, expected %d tuples",
+					trial, attrs[i], attrs[j], out.IsEmpty(), want.Cardinality())
 			}
-			continue
+			sameRelation(t, out, want, "absorb != selection")
+			// The two attributes now share a node.
+			if out.Tree.NodeOf(attrs[i]) != out.Tree.NodeOf(attrs[j]) {
+				t.Fatalf("trial %d: %s and %s not merged:\n%s", trial, attrs[i], attrs[j], out.Tree)
+			}
 		}
-		sameRelation(t, f, want, "absorb != selection A=C")
-		// A and C now share a node.
-		if f.Tree.NodeOf("A") != f.Tree.NodeOf("C") {
-			t.Fatalf("trial %d: A and C not merged:\n%s", trial, f.Tree)
-		}
+	}
+}
+
+// TestAbsorbEmptiesResult: when no A-entry has a matching B value, the
+// restriction cascades up to the root and the result is the empty
+// representation over the absorbed, normalised tree.
+func TestAbsorbEmptiesResult(t *testing.T) {
+	r := relation.New("R", relation.Schema{"A", "B", "C"})
+	r.Append(1, 5, 2)
+	r.Append(1, 6, 3)
+	r.Append(2, 5, 1)
+	f := mustFromRelation(t, chainTree([]relation.Attribute{"A", "B", "C"},
+		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")}), r)
+	out := applyChecked(t, Absorb{A: "A", B: "C"}, f, relation.New("E", r.Schema))
+	if !out.IsEmpty() || out.Count() != 0 {
+		t.Fatalf("absorb with no matches left %d tuples:\n%s", out.Count(), out)
 	}
 }
 
@@ -258,12 +331,9 @@ func TestSelectConstRandom(t *testing.T) {
 		target := attrs[rng.Intn(len(attrs))]
 		cmp := ops[rng.Intn(len(ops))]
 		c := relation.Value(rng.Intn(4))
-		if err := (SelectConst{A: target, Op: cmp, C: c}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
 		col := r.Schema.Index(target)
 		want := r.Select(func(tp relation.Tuple) bool { return cmp.eval(tp[col], c) })
+		f = applyChecked(t, SelectConst{A: target, Op: cmp, C: c}, f, want)
 		if f.IsEmpty() {
 			if want.Cardinality() != 0 {
 				t.Fatalf("trial %d: σ emptied, expected %d tuples", trial, want.Cardinality())
@@ -284,14 +354,11 @@ func TestSelectConstEqMakesRoot(t *testing.T) {
 	tr := chainTree([]relation.Attribute{"A", "B", "C"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
 	f := mustFromRelation(t, tr, r)
-	if err := (SelectConst{A: "B", Op: Eq, C: 5}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, f)
+	want := r.Select(func(tp relation.Tuple) bool { return tp[1] == 5 })
+	f = applyChecked(t, SelectConst{A: "B", Op: Eq, C: 5}, f, want)
 	if f.Tree.ParentOf(f.Tree.NodeOf("B")) != nil {
 		t.Fatalf("constant node B should be a root:\n%s", f.Tree)
 	}
-	want := r.Select(func(tp relation.Tuple) bool { return tp[1] == 5 })
 	sameRelation(t, f, want, "σ_eq wrong")
 }
 
@@ -318,10 +385,7 @@ func TestProjectRandom(t *testing.T) {
 		if len(keep) == 0 {
 			keep = []relation.Attribute{attrs[rng.Intn(3)]}
 		}
-		if err := (Project{Attrs: keep}).Apply(f); err != nil {
-			t.Fatal(err)
-		}
-		checkValid(t, f)
+		f = applyChecked(t, Project{Attrs: keep}, f, r)
 		want := r.Project(keep)
 		sameRelation(t, f, want, "projection wrong")
 		// No all-hidden nodes may remain.
@@ -346,10 +410,7 @@ func TestProjectInducedDependence(t *testing.T) {
 	tr := chainTree([]relation.Attribute{"A", "B", "C"},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B"), relation.NewAttrSet("B", "C")})
 	f := mustFromRelation(t, tr, r)
-	if err := (Project{Attrs: []relation.Attribute{"A", "C"}}).Apply(f); err != nil {
-		t.Fatal(err)
-	}
-	checkValid(t, f)
+	f = applyChecked(t, Project{Attrs: []relation.Attribute{"A", "C"}}, f, r)
 	want := r.Project([]relation.Attribute{"A", "C"})
 	sameRelation(t, f, want, "projection with induced dependence wrong")
 	// A and C must still be on one path: a forest of {A} and {C} would
@@ -369,7 +430,7 @@ func TestProductOperator(t *testing.T) {
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")}), r)
 	fs := mustFromRelation(t, chainTree([]relation.Attribute{"C"},
 		[]relation.AttrSet{relation.NewAttrSet("C")}), s)
-	prod, err := Product(fr, fs)
+	prod, err := ProductEnc(fr, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +440,7 @@ func TestProductOperator(t *testing.T) {
 	}
 	sameRelation(t, prod, r.Product(s), "product wrong")
 	// Overlapping schemas must be rejected.
-	if _, err := Product(fr, fr); err == nil {
+	if _, err := ProductEnc(fr, fr); err == nil {
 		t.Fatal("product over overlapping schemas accepted")
 	}
 }
@@ -390,7 +451,7 @@ func TestProductWithEmpty(t *testing.T) {
 	e := relation.New("E", relation.Schema{"B"})
 	fr := mustFromRelation(t, chainTree([]relation.Attribute{"A"}, nil), r)
 	fe := mustFromRelation(t, chainTree([]relation.Attribute{"B"}, nil), e)
-	prod, err := Product(fr, fe)
+	prod, err := ProductEnc(fr, fe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,17 +36,7 @@ func TestLiftRaisesGroupAttrs(t *testing.T) {
 			group = []relation.Attribute{attrs[rng.Intn(len(attrs))]}
 		}
 
-		shadow := f.Tree.Clone()
-		if err := (Lift{Attrs: group}).ApplyTree(shadow); err != nil {
-			t.Fatalf("ApplyTree: %v", err)
-		}
-		if err := (Lift{Attrs: group}).Apply(f); err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-		checkValid(t, f)
-		if f.Tree.Canonical() != shadow.Canonical() {
-			t.Fatalf("tree/data divergence:\ndata tree:\n%s\nshadow tree:\n%s", f.Tree, shadow)
-		}
+		f = applyChecked(t, Lift{Attrs: group}, f, rel)
 		if !Lifted(f.Tree, group) {
 			t.Fatalf("not lifted for %v:\n%s", group, f.Tree)
 		}

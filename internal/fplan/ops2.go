@@ -3,7 +3,6 @@ package fplan
 import (
 	"fmt"
 
-	"repro/internal/frep"
 	"repro/internal/ftree"
 	"repro/internal/relation"
 )
@@ -83,29 +82,6 @@ func (o SelectConst) ApplyTree(t *ftree.T) error {
 	return nil
 }
 
-// Apply implements Op.
-func (o SelectConst) Apply(f *frep.FRep) error {
-	n, err := attrNode(f.Tree, o.A)
-	if err != nil {
-		return err
-	}
-	rewriteUnions(f, n, func(u *frep.Union) bool {
-		out := u.Entries[:0]
-		for i := range u.Entries {
-			if o.Op.eval(u.Entries[i].Val, o.C) {
-				out = append(out, u.Entries[i])
-			}
-		}
-		u.Entries = out
-		return len(out) > 0
-	})
-	if o.Op == Eq {
-		f.Tree.MarkConst(o.A)
-		return Normalise{}.Apply(f)
-	}
-	return nil
-}
-
 // SelectFn is σ_{A∈P}: a selection by an arbitrary value predicate — the
 // escape hatch for comparisons whose order is not native value order, most
 // prominently range selections on dictionary-encoded strings, which must
@@ -125,25 +101,6 @@ func (o SelectFn) ApplyTree(t *ftree.T) error {
 	if t.NodeOf(o.A) == nil {
 		return fmt.Errorf("fplan: select: attribute %q not in f-tree", o.A)
 	}
-	return nil
-}
-
-// Apply implements Op.
-func (o SelectFn) Apply(f *frep.FRep) error {
-	n, err := attrNode(f.Tree, o.A)
-	if err != nil {
-		return err
-	}
-	rewriteUnions(f, n, func(u *frep.Union) bool {
-		out := u.Entries[:0]
-		for i := range u.Entries {
-			if o.Keep(u.Entries[i].Val) {
-				out = append(out, u.Entries[i])
-			}
-		}
-		u.Entries = out
-		return len(out) > 0
-	})
 	return nil
 }
 
@@ -223,45 +180,6 @@ func (o Project) ApplyTree(t *ftree.T) error {
 	}
 }
 
-// Apply implements Op.
-func (o Project) Apply(f *frep.FRep) error {
-	for _, a := range o.Attrs {
-		if f.Tree.NodeOf(a) == nil {
-			return fmt.Errorf("fplan: project: attribute %q not in f-tree", a)
-		}
-	}
-	if f.IsEmpty() {
-		f.Empty = true // pin emptiness before roots are removed
-	}
-	f.Tree.MarkHidden(o.hiddenAttrs(f.Tree))
-	for {
-		n := findAllHidden(f.Tree)
-		if n == nil {
-			return nil
-		}
-		if len(n.Children) == 0 {
-			p := f.Tree.ParentOf(n)
-			si := -1
-			if p == nil {
-				si = rootIndex(f.Tree, n)
-			} else {
-				si = childIndex(p, n)
-			}
-			rewriteProducts(f, p, func(prod *[]*frep.Union) bool {
-				*prod = removeSlot(*prod, si)
-				return true
-			})
-			if err := f.Tree.RemoveLeaf(n); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := (Swap{A: n.Attrs[0], B: n.Children[0].Attrs[0]}).Apply(f); err != nil {
-			return err
-		}
-	}
-}
-
 // ---------------------------------------------------------------- product ×
 
 // productTree validates attribute disjointness and combines two trees into
@@ -281,22 +199,4 @@ func productTree(ta, tb *ftree.T) (*ftree.T, error) {
 		Hidden: ta.Hidden.Union(tb.Hidden),
 		Consts: ta.Consts.Union(tb.Consts),
 	}, nil
-}
-
-// Product combines two representations over disjoint attribute sets into
-// their Cartesian product (Section 3.2): the forest of both trees, the
-// concatenation of both root products. Time linear in the input sizes. The
-// inputs are cloned; the result owns its structure.
-func Product(a, b *frep.FRep) (*frep.FRep, error) {
-	ca, cb := a.Clone(), b.Clone()
-	t, err := productTree(ca.Tree, cb.Tree)
-	if err != nil {
-		return nil, err
-	}
-	out := &frep.FRep{
-		Tree:  t,
-		Roots: append(ca.Roots, cb.Roots...),
-		Empty: ca.IsEmpty() || cb.IsEmpty(),
-	}
-	return out, nil
 }

@@ -1,3 +1,13 @@
+// Package fplan implements the f-plan operators of Section 3 on factorised
+// data: push-up ψ and normalisation η, swap χ (the priority-queue algorithm
+// of Figure 4), Cartesian product ×, the selection operators merge μ, absorb
+// α and selection-with-constant σ, and projection π — plus f-plans
+// (sequences of operators) and their executor.
+//
+// Every operator maps an encoded (f-tree, f-representation) pair to a fresh
+// one, in time quasilinear in the sizes of its input and output
+// (Proposition 2), preserving the order invariant, the path constraint, and
+// normalisation.
 package fplan
 
 import (
@@ -7,6 +17,10 @@ import (
 	"repro/internal/frep"
 	"repro/internal/ftree"
 )
+
+// Strict enables expensive internal consistency checks (copies factored out
+// by push-up must be equal). Tests switch it on; benchmarks leave it off.
+var Strict = false
 
 // Plan is an f-plan: a sequential composition of operators evaluating a
 // select-project-join query on a factorised representation (Section 3).
@@ -23,24 +37,22 @@ func (p Plan) String() string {
 	return strings.Join(parts, " ; ")
 }
 
-// Execute applies every operator, in order, to f (tree and data together).
-func (p Plan) Execute(f *frep.FRep) error {
-	return p.ExecuteContext(context.Background(), f)
-}
-
-// ExecuteContext is Execute with cancellation checkpoints between
-// operators: before each operator runs, ctx is polled and its error
-// returned, so long operator pipelines can be abandoned mid-plan.
-func (p Plan) ExecuteContext(ctx context.Context, f *frep.FRep) error {
+// Execute applies every operator, in order, to e (tree and data together)
+// and returns the final representation; e itself is left untouched. Before
+// each operator runs, ctx is polled and its error returned, so long
+// operator pipelines can be abandoned mid-plan.
+func (p Plan) Execute(ctx context.Context, e *frep.Enc) (*frep.Enc, error) {
 	for _, op := range p.Ops {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		if err := op.Apply(f); err != nil {
-			return err
+		next, err := ApplyEnc(op, e)
+		if err != nil {
+			return nil, err
 		}
+		e = next
 	}
-	return nil
+	return e, nil
 }
 
 // SimulateTree applies the plan's schema transforms to a clone of t and

@@ -88,18 +88,19 @@ type AggRow struct {
 }
 
 // Aggregate computes the given aggregates over the represented relation,
-// grouped by the groupBy attributes, without enumerating tuples. Rows come
-// back sorted by group key. An empty representation yields no rows (also
-// for global aggregates, where SQL would return one NULL-ish row).
+// grouped by the groupBy attributes, in one pass over the columns, without
+// enumerating tuples. Rows come back sorted by group key. An empty
+// representation yields no rows (also for global aggregates, where SQL
+// would return one NULL-ish row).
 //
 // Counts saturate at math.MaxInt64; sums saturate at ±math.MaxInt64 — like
 // Count, exact for the paper's workloads and clamped beyond.
-func (f *FRep) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow, error) {
-	ev, err := newAggEval(f.Tree, groupBy, specs)
+func (e *Enc) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRow, error) {
+	ev, err := newAggEval(e.Tree, groupBy, specs)
 	if err != nil {
 		return nil, err
 	}
-	if f.IsEmpty() {
+	if e.IsEmpty() {
 		return nil, nil
 	}
 	// Subtrees without group attributes need no key bookkeeping: they fold
@@ -107,11 +108,12 @@ func (f *FRep) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRo
 	// either, into a bare count). The group zone alone pays for maps.
 	scalar := ev.unit()
 	var cur map[string]*partial
-	for i, u := range f.Roots {
-		n := f.Tree.Roots[i]
+	for _, ri := range e.ti.roots {
+		n := e.ti.nodes[ri]
+		lo, hi := int32(0), int32(e.NumEntries(ri))
 		if !ev.groupBelow[n] {
-			ev.crossScalar(scalar, ev.scalarUnion(u, n, 0))
-		} else if m := ev.union(u, n); cur == nil {
+			ev.crossScalar(scalar, ev.encScalarSpan(e, ri, lo, hi, 0))
+		} else if m := ev.encSpan(e, ri, lo, hi); cur == nil {
 			cur = m
 		} else {
 			cur = ev.cross(cur, m)
@@ -120,9 +122,75 @@ func (f *FRep) Aggregate(groupBy []relation.Attribute, specs []AggSpec) ([]AggRo
 	return ev.finishRows(cur, scalar), nil
 }
 
+// encScalarSpan aggregates entries [lo,hi) of node ni — a subtree holding
+// no group attribute — into a single partial — no maps, no keys, no
+// allocation (scratch accumulators per depth). Subtrees without aggregated
+// attributes either collapse further, into the plain count walk. The
+// returned partial lives in the depth-d scratch slot; the caller must
+// consume it before the slot is reused (the next encScalarSpan call at the
+// same depth).
+func (ev *aggEval) encScalarSpan(e *Enc, ni int, lo, hi int32, d int) *partial {
+	n := e.ti.nodes[ni]
+	if !ev.specBelow[n] {
+		return ev.scratchAt(&ev.uscratch, d, e.countSpan(ni, lo, hi))
+	}
+	total := ev.scratchAt(&ev.uscratch, d, 0)
+	for j := lo; j < hi; j++ {
+		ev.add(total, ev.encScalarEntry(e, ni, j, d))
+	}
+	return total
+}
+
+// encScalarEntry aggregates one entry (absolute index j) of node ni.
+func (ev *aggEval) encScalarEntry(e *Enc, ni int, j int32, d int) *partial {
+	p := ev.scratchAt(&ev.escratch, d, 1)
+	for _, ci := range e.ti.kids[ni] {
+		clo, chi := e.UnionSpan(ci, int(j))
+		ev.crossScalar(p, ev.encScalarSpan(e, ci, clo, chi, d+1))
+	}
+	ev.applyNode(p, e.Vals(ni)[j], e.ti.nodes[ni])
+	return p
+}
+
+// encSpan aggregates entries [lo,hi) of node ni (one union of the group
+// zone), keyed by the group slots fixed inside the subtree.
+func (ev *aggEval) encSpan(e *Enc, ni int, lo, hi int32) map[string]*partial {
+	out := make(map[string]*partial, 1)
+	for j := lo; j < hi; j++ {
+		for k, p := range ev.encEntry(e, ni, j) {
+			if q, ok := out[k]; ok {
+				ev.add(q, p)
+			} else {
+				out[k] = p
+			}
+		}
+	}
+	return out
+}
+
+// encEntry aggregates one group-zone entry: the product of its child
+// unions (scalar for group-free children, keyed for the rest), extended by
+// the entry's own value for the node's group slots and aggregated
+// attributes.
+func (ev *aggEval) encEntry(e *Enc, ni int, j int32) map[string]*partial {
+	scalar := ev.unit()
+	var cur map[string]*partial
+	for _, ci := range e.ti.kids[ni] {
+		cn := e.ti.nodes[ci]
+		clo, chi := e.UnionSpan(ci, int(j))
+		if !ev.groupBelow[cn] {
+			ev.crossScalar(scalar, ev.encScalarSpan(e, ci, clo, chi, 0))
+		} else if m := ev.encSpan(e, ci, clo, chi); cur == nil {
+			cur = m
+		} else {
+			cur = ev.cross(cur, m)
+		}
+	}
+	return ev.foldEntry(cur, scalar, e.Vals(ni)[j], e.ti.nodes[ni])
+}
+
 // newAggEval validates the aggregation request against the tree and
-// prepares the shared evaluation context (used by both the pointer and the
-// encoded evaluator).
+// prepares the shared evaluation context.
 func newAggEval(t *ftree.T, groupBy []relation.Attribute, specs []AggSpec) (*aggEval, error) {
 	slot := make(map[relation.Attribute]int, len(groupBy))
 	for i, a := range groupBy {
@@ -297,32 +365,6 @@ func (ev *aggEval) unit() *partial {
 	return &partial{cnt: 1, st: make([]aggState, len(ev.specs))}
 }
 
-// scalarUnion aggregates a subtree containing no group attribute into a
-// single partial — no maps, no keys, no allocation (scratch accumulators
-// per depth). Subtrees without aggregated attributes either collapse
-// further, into the plain count walk. The returned partial lives in the
-// depth-d scratch slot; the caller must consume it before the slot is
-// reused (the next scalarUnion call at the same depth).
-func (ev *aggEval) scalarUnion(u *Union, n *ftree.Node, d int) *partial {
-	if !ev.specBelow[n] {
-		return ev.scratchAt(&ev.uscratch, d, countUnion(u, n))
-	}
-	total := ev.scratchAt(&ev.uscratch, d, 0)
-	for i := range u.Entries {
-		ev.add(total, ev.scalarEntry(&u.Entries[i], n, d))
-	}
-	return total
-}
-
-func (ev *aggEval) scalarEntry(e *Entry, n *ftree.Node, d int) *partial {
-	p := ev.scratchAt(&ev.escratch, d, 1)
-	for j, c := range e.Children {
-		ev.crossScalar(p, ev.scalarUnion(c, n.Children[j], d+1))
-	}
-	ev.applyNode(p, e.Val, n)
-	return p
-}
-
 // applyNode extends a partial by the entry's own value for every
 // aggregated attribute of the node. The attribute labels only this node,
 // so the corresponding spec state is untouched below and the updates are
@@ -377,47 +419,10 @@ func (ev *aggEval) mergeScalar(p, s *partial) {
 	p.cnt = satMul(p.cnt, s.cnt)
 }
 
-// union aggregates the relation represented by u over node n, keyed by the
-// group slots fixed inside the subtree.
-func (ev *aggEval) union(u *Union, n *ftree.Node) map[string]*partial {
-	out := make(map[string]*partial, 1)
-	for i := range u.Entries {
-		for k, p := range ev.entry(&u.Entries[i], n) {
-			if q, ok := out[k]; ok {
-				ev.add(q, p)
-			} else {
-				out[k] = p
-			}
-		}
-	}
-	return out
-}
-
-// entry aggregates one union entry of the group zone: the product of its
-// child unions (scalar for group-free children, keyed for the rest),
-// extended by the entry's own value for the node's group slots and
-// aggregated attributes.
-func (ev *aggEval) entry(e *Entry, n *ftree.Node) map[string]*partial {
-	scalar := ev.unit()
-	var cur map[string]*partial
-	for j, c := range e.Children {
-		cn := n.Children[j]
-		if !ev.groupBelow[cn] {
-			ev.crossScalar(scalar, ev.scalarUnion(c, cn, 0))
-		} else if m := ev.union(c, cn); cur == nil {
-			cur = m
-		} else {
-			cur = ev.cross(cur, m)
-		}
-	}
-	return ev.foldEntry(cur, scalar, e.Val, n)
-}
-
-// foldEntry finishes one group-zone entry (shared by the pointer and
-// encoded walkers): the top-level scalar merges into the keyed partials,
-// then the entry's own value extends every partial's group slots and
-// aggregate states, re-keying the map where the node is "hot" (touches a
-// key slot or a spec attribute).
+// foldEntry finishes one group-zone entry: the top-level scalar merges
+// into the keyed partials, then the entry's own value extends every
+// partial's group slots and aggregate states, re-keying the map where the
+// node is "hot" (touches a key slot or a spec attribute).
 func (ev *aggEval) foldEntry(cur map[string]*partial, scalar *partial, v relation.Value, n *ftree.Node) map[string]*partial {
 	if cur == nil {
 		scalar.key = make([]relation.Value, ev.nKey)
@@ -555,13 +560,6 @@ func (ev *aggEval) cross(m1, m2 map[string]*partial) map[string]*partial {
 		}
 	}
 	return out
-}
-
-// FlatSize returns Count() times the number of visible attributes — the
-// data-element count of the flat representation — saturating at
-// math.MaxInt64 like Count itself.
-func (f *FRep) FlatSize() int64 {
-	return satMul(f.Count(), int64(len(f.Schema())))
 }
 
 const minInt64 = -maxInt64 - 1

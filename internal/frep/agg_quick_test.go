@@ -10,10 +10,12 @@ import (
 	"repro/internal/relation"
 )
 
-// foldAgg is the reference implementation: enumerate the flat relation and
-// fold every aggregate tuple by tuple.
-func foldAgg(fr *FRep, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
-	schema := fr.Schema()
+// foldAgg is the reference implementation: fold every aggregate over the
+// flat relation (a set), tuple by tuple.
+func foldAgg(rel *relation.Relation, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
+	rel = rel.Clone()
+	rel.Dedup()
+	schema := rel.Schema
 	pos := map[relation.Attribute]int{}
 	for i, a := range schema {
 		pos[a] = i
@@ -27,7 +29,7 @@ func foldAgg(fr *FRep, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
 		dist []map[relation.Value]struct{}
 	}
 	groups := map[string]*state{}
-	fr.Enumerate(func(t relation.Tuple) bool {
+	for _, t := range rel.Tuples {
 		key := make([]relation.Value, len(groupBy))
 		for i, a := range groupBy {
 			key[i] = t[pos[a]]
@@ -65,8 +67,7 @@ func foldAgg(fr *FRep, groupBy []relation.Attribute, specs []AggSpec) []AggRow {
 				s.dist[i][v] = struct{}{}
 			}
 		}
-		return true
-	})
+	}
 	rows := make([]AggRow, 0, len(groups))
 	for _, s := range groups {
 		row := AggRow{Key: s.key, Vals: make([]int64, len(specs))}
@@ -152,7 +153,7 @@ func TestQuickAggregateMatchesFold(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return rowsEqual(got, foldAgg(fr, groupBy, specs))
+		return rowsEqual(got, foldAgg(r, groupBy, specs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestQuickAggregateProductMatchesFold(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return rowsEqual(got, foldAgg(fr, groupBy, specs))
+		return rowsEqual(got, foldAgg(prod, groupBy, specs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

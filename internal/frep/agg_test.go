@@ -23,7 +23,7 @@ func pathTree(attrs ...relation.Attribute) *ftree.T {
 	return ftree.New([]*ftree.Node{root}, []relation.AttrSet{relation.NewAttrSet(attrs...)})
 }
 
-func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *FRep {
+func mustFromRelation(t *testing.T, tr *ftree.T, r *relation.Relation) *Enc {
 	t.Helper()
 	fr, err := FromRelation(tr, r)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestAggregateProduct(t *testing.T) {
 }
 
 func TestAggregateEmpty(t *testing.T) {
-	fr := New(pathTree("A", "B", "C"))
+	fr := NewEmptyEnc(pathTree("A", "B", "C"))
 	rows, err := fr.Aggregate([]relation.Attribute{"A"}, []AggSpec{{Fn: AggCount}})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestAggregateErrors(t *testing.T) {
 
 // hugeRep builds a representation of 2^64 tuples — four independent roots
 // with 2^16 values each — whose Count saturates at math.MaxInt64.
-func hugeRep() *FRep {
+func hugeRep() *Enc {
 	attrs := []relation.Attribute{"A", "B", "C", "D"}
 	var roots []*ftree.Node
 	var rels []relation.AttrSet
@@ -150,15 +150,14 @@ func hugeRep() *FRep {
 		roots = append(roots, ftree.NewNode(a))
 		rels = append(rels, relation.NewAttrSet(a))
 	}
-	fr := &FRep{Tree: ftree.New(roots, rels)}
-	for range attrs {
-		u := &Union{Entries: make([]Entry, 1<<16)}
-		for i := range u.Entries {
-			u.Entries[i] = Entry{Val: relation.Value(i + 1)}
+	b := NewEncBuilder(ftree.New(roots, rels))
+	for _, ri := range b.Roots() {
+		for i := 0; i < 1<<16; i++ {
+			b.Append(ri, relation.Value(i+1))
 		}
-		fr.Roots = append(fr.Roots, u)
+		b.CloseUnion(ri)
 	}
-	return fr
+	return b.Finish()
 }
 
 // Regression: FlatSize must saturate like Count, not wrap. Before the fix,

@@ -1,7 +1,7 @@
-// Arena-backed columnar f-representations. Enc stores the same factorised
-// data as FRep, but flat: one value column and one union-offset column per
-// f-tree node, all backed by a single arena, instead of a tree of *Union
-// pointers with per-entry child slices.
+// Arena-backed columnar f-representations. Enc stores the factorised data
+// flat: one value column and one union-offset column per f-tree node, all
+// backed by a single arena, instead of a tree of union pointers with
+// per-entry child slices.
 //
 // The layout exploits the structural regularity of f-representations: the
 // entries of a node, concatenated across all its unions in build order, are
@@ -168,11 +168,14 @@ func (e *Enc) ReTree(t *ftree.T) *Enc {
 	return &Enc{Tree: t, Empty: e.Empty, A: e.A, cols: e.cols, ti: indexTree(t)}
 }
 
-// DropLeaf returns a view of e without the leaf node at pre-order index ni,
-// over tree t (e's tree with that leaf already removed). Dropping a leaf
-// never changes any other column — parent entries keep their values and the
-// reduction invariant guarantees nothing empties — so this is O(#nodes).
-func (e *Enc) DropLeaf(t *ftree.T, ni int) *Enc {
+// DropNode returns a view of e without the node at pre-order index ni, over
+// tree t (e's tree with that node already removed, its children spliced
+// into its place). The node must be a leaf, or every one of its unions must
+// hold exactly one entry: then child union k of the dropped node belongs to
+// entry k of its parent, so no other column changes and this is O(#nodes).
+// Dropping a leaf keeps every parent entry, and the reduction invariant
+// guarantees nothing empties.
+func (e *Enc) DropNode(t *ftree.T, ni int) *Enc {
 	cols := make([]nodeCol, 0, len(e.cols)-1)
 	cols = append(cols, e.cols[:ni]...)
 	cols = append(cols, e.cols[ni+1:]...)
@@ -342,72 +345,10 @@ func (b *EncBuilder) Finish() *Enc {
 	return e
 }
 
-// ---------------------------------------------------- encode / decode
-
-// Encode converts the pointer form to the columnar form. The resulting Enc
-// shares f's tree: the caller must not mutate f (or its tree) afterwards.
-func (f *FRep) Encode() *Enc {
-	if f.IsEmpty() {
-		return NewEmptyEnc(f.Tree)
-	}
-	b := NewEncBuilder(f.Tree)
-	var emit func(u *Union, ni int)
-	emit = func(u *Union, ni int) {
-		kid := b.ti.kids[ni]
-		for i := range u.Entries {
-			en := &u.Entries[i]
-			b.Append(ni, en.Val)
-			for k, c := range en.Children {
-				emit(c, kid[k])
-				b.CloseUnion(kid[k])
-			}
-		}
-	}
-	for i, u := range f.Roots {
-		ri := b.ti.idx[f.Tree.Roots[i]]
-		emit(u, ri)
-		b.CloseUnion(ri)
-	}
-	return b.Finish()
-}
-
-// Decode converts the columnar form back to the pointer form. The result
-// owns a cloned tree, so pointer-side operators may mutate it freely
-// without corrupting e.
-func (e *Enc) Decode() *FRep {
-	t := e.Tree.Clone()
-	if e.IsEmpty() {
-		return New(t)
-	}
-	fr := &FRep{Tree: t}
-	var build func(ni, u int) *Union
-	build = func(ni, u int) *Union {
-		lo, hi := e.UnionSpan(ni, u)
-		vals := e.Vals(ni)
-		kid := e.ti.kids[ni]
-		out := &Union{Entries: make([]Entry, 0, hi-lo)}
-		for j := lo; j < hi; j++ {
-			en := Entry{Val: vals[j]}
-			if len(kid) > 0 {
-				en.Children = make([]*Union, len(kid))
-				for k, ci := range kid {
-					en.Children[k] = build(ci, int(j))
-				}
-			}
-			out.Entries = append(out.Entries, en)
-		}
-		return out
-	}
-	for _, ri := range e.ti.roots {
-		fr.Roots = append(fr.Roots, build(ri, 0))
-	}
-	return fr
-}
-
 // ------------------------------------------------------------ measures
 
-// Count returns the number of represented tuples (saturating like
-// FRep.Count).
+// Count returns the number of represented tuples, saturating at
+// math.MaxInt64 (exact for the paper's workloads, clamped beyond).
 func (e *Enc) Count() int64 {
 	if e.IsEmpty() {
 		return 0
@@ -463,9 +404,6 @@ func (e *Enc) FlatSize() int64 {
 	return satMul(e.Count(), int64(len(e.Schema())))
 }
 
-// Schema returns the visible attributes in canonical enumeration order.
-func (e *Enc) Schema() relation.Schema { return treeSchema(e.Tree) }
-
 // Relation materialises the represented relation.
 func (e *Enc) Relation(name string) *relation.Relation {
 	out := relation.New(name, e.Schema())
@@ -476,15 +414,9 @@ func (e *Enc) Relation(name string) *relation.Relation {
 	return out
 }
 
-// String renders the representation in the paper's notation (via the
-// pointer form; display only).
-func (e *Enc) String() string { return e.Decode().String() }
-
-// StringDict renders with values decoded through d.
-func (e *Enc) StringDict(d *relation.Dict) string { return e.Decode().StringDict(d) }
-
 // Equal reports structural equality over trees with equal canonical forms
-// and matching pre-order layouts (the columnar mirror of FRep.Equal).
+// and matching pre-order layouts. (For semantic equality of
+// differently-factorised data compare Relation() outputs.)
 func (e *Enc) Equal(o *Enc) bool {
 	if e.Tree.Canonical() != o.Tree.Canonical() {
 		return false

@@ -26,7 +26,7 @@ func encFillTable(e *Enc, schema relation.Schema) [][]int {
 }
 
 // Enumerate calls yield for each tuple of the represented relation, in
-// lexicographic order of Schema() — the columnar mirror of FRep.Enumerate.
+// lexicographic order of Schema().
 // The buffer passed to yield is reused; clone it to retain. Enumeration is
 // pure index arithmetic over the arena: no per-entry allocation.
 func (e *Enc) Enumerate(yield func(relation.Tuple) bool) {

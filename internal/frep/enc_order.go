@@ -543,55 +543,6 @@ func DedupEnc(e *Enc) *Enc {
 	return b.Finish()
 }
 
-// Dedup merges duplicate-valued entries of every union in place (children
-// union recursively) — the pointer-form mirror of DedupEnc.
-func (f *FRep) Dedup() {
-	if f.IsEmpty() {
-		return
-	}
-	for i, u := range f.Roots {
-		f.Roots[i] = dedupUnions([]*Union{u})
-	}
-}
-
-// dedupUnions merges several unions of the same node into one deduplicated,
-// sorted union.
-func dedupUnions(us []*Union) *Union {
-	type src struct {
-		u *Union
-		i int
-	}
-	var all []src
-	for _, u := range us {
-		for i := range u.Entries {
-			all = append(all, src{u, i})
-		}
-	}
-	sort.SliceStable(all, func(a, b int) bool { return all[a].u.Entries[all[a].i].Val < all[b].u.Entries[all[b].i].Val })
-	out := &Union{}
-	for g := 0; g < len(all); {
-		h := g
-		for h < len(all) && all[h].u.Entries[all[h].i].Val == all[g].u.Entries[all[g].i].Val {
-			h++
-		}
-		first := all[g].u.Entries[all[g].i]
-		en := Entry{Val: first.Val}
-		if len(first.Children) > 0 {
-			en.Children = make([]*Union, len(first.Children))
-			for k := range first.Children {
-				kids := make([]*Union, 0, h-g)
-				for _, s := range all[g:h] {
-					kids = append(kids, s.u.Entries[s.i].Children[k])
-				}
-				en.Children[k] = dedupUnions(kids)
-			}
-		}
-		out.Entries = append(out.Entries, en)
-		g = h
-	}
-	return out
-}
-
 // ---------------------------------------------------------------- reindex
 
 // Reindex returns a view of e over t, which must be e's tree with root and

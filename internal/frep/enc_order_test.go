@@ -24,11 +24,10 @@ func orderEnc(t *testing.T, seed int64, forest bool) *Enc {
 	relABC.Dedup()
 	trA := randomPathTree([]relation.Attribute{"A", "B", "C"}, rng,
 		[]relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	fa, err := FromRelation(trA, relABC)
+	ea, err := FromRelation(trA, relABC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea := fa.Encode()
 	if !forest {
 		return ea
 	}
@@ -39,11 +38,10 @@ func orderEnc(t *testing.T, seed int64, forest bool) *Enc {
 	relDE.Dedup()
 	trB := randomPathTree([]relation.Attribute{"D", "E"}, rng,
 		[]relation.AttrSet{relation.NewAttrSet("D", "E")})
-	fb, err := FromRelation(trB, relDE)
+	eb, err := FromRelation(trB, relDE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb := fb.Encode()
 	prod := &ftree.T{
 		Roots:  append(append([]*ftree.Node{}, ea.Tree.Roots...), eb.Tree.Roots...),
 		Rels:   append(append([]relation.AttrSet{}, ea.Tree.Rels...), eb.Tree.Rels...),
@@ -208,11 +206,10 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{
 		ftree.NewNode("A").Add(ftree.NewNode("B").Add(ftree.NewNode("C"))),
 	}, []relation.AttrSet{relation.NewAttrSet("A", "B", "C")})
-	f, err := FromRelation(tr, r)
+	e, err := FromRelation(tr, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := f.Encode()
 	if e.NumEntries(0) != 1000 {
 		t.Fatalf("root has %d entries, want 1000", e.NumEntries(0))
 	}
@@ -244,8 +241,7 @@ func TestOrderedLimitShortCircuits(t *testing.T) {
 
 // DedupEnc on engine-built representations is the identity; on a hand-built
 // encoding with duplicate union values it merges entries, validates, and
-// agrees with both the pointer-form Dedup and the set-dedup of the
-// enumerated tuples.
+// agrees with the set-dedup of the enumerated tuples.
 func TestDedupEnc(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		e := orderEnc(t, seed, seed%2 == 0)
@@ -296,12 +292,6 @@ func TestDedupEnc(t *testing.T) {
 	}
 	if n := d.Count(); n != int64(ref.Cardinality()) {
 		t.Fatalf("dedup Count() = %d, want %d", n, ref.Cardinality())
-	}
-	// Pointer-form mirror: Dedup on the decoded rep encodes to the same enc.
-	f := dup.Decode()
-	f.Dedup()
-	if !f.Encode().Equal(d) {
-		t.Fatal("pointer-form Dedup disagrees with DedupEnc")
 	}
 }
 

@@ -50,12 +50,11 @@ func TestAggregateParallelLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	trials := 0
 	for seed := int64(0); trials < 120; seed++ {
-		fr := quickFRep(seed*7717 + rng.Int63n(1000))
-		if fr == nil {
+		e := quickEnc(seed*7717 + rng.Int63n(1000))
+		if e == nil {
 			continue
 		}
 		trials++
-		e := fr.Encode()
 		schema := e.Schema()
 		specs := parallelAggSpecs(schema)
 		var groupBy []relation.Attribute
@@ -88,12 +87,11 @@ func TestEncIteratorRangeLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 0
 	for seed := int64(0); trials < 80; seed++ {
-		fr := quickFRep(seed*31 + rng.Int63n(100))
-		if fr == nil {
+		e := quickEnc(seed*31 + rng.Int63n(100))
+		if e == nil {
 			continue
 		}
 		trials++
-		e := fr.Encode()
 		var serial []relation.Tuple
 		e.Enumerate(func(tp relation.Tuple) bool {
 			serial = append(serial, tp.Clone())
@@ -125,11 +123,10 @@ func TestEncIteratorRangeLockstep(t *testing.T) {
 // TestEnumerateParallel: the concurrent enumeration yields exactly the
 // serial multiset of tuples, and early termination stops all workers.
 func TestEnumerateParallel(t *testing.T) {
-	fr := quickFRep(12345)
-	for seed := int64(0); fr == nil || fr.IsEmpty(); seed++ {
-		fr = quickFRep(seed)
+	e := quickEnc(12345)
+	for seed := int64(0); e == nil || e.IsEmpty(); seed++ {
+		e = quickEnc(seed)
 	}
-	e := fr.Encode()
 	want := map[string]int{}
 	total := 0
 	e.Enumerate(func(tp relation.Tuple) bool {

@@ -1,7 +1,7 @@
 // Set algebra over encoded f-representations. UNION, EXCEPT and INTERSECT
 // walk the two operands' sorted unions simultaneously — the same two-cursor
 // discipline as the leapfrog build — and emit a merged encoding through
-// EncBuilder, never decoding to the pointer form.
+// EncBuilder.
 //
 // The structural walk rests on how each operation interacts with the
 // product decomposition the f-tree imposes. INTERSECT distributes over

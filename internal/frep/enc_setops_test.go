@@ -34,7 +34,7 @@ func setOpEncOf(t *testing.T, rng *rand.Rand, rel *relation.Relation) *Enc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fr.Encode()
+	return fr
 }
 
 // refRows computes the flat reference of op over two set relations, as rows
@@ -151,7 +151,7 @@ func branchingPair(t *testing.T, a *relation.Relation, b *relation.Relation) (*E
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fa.Encode(), fb.Encode()
+	return fa, fb
 }
 
 // joinRel materialises the A-join of B- and C-fragments: for every a, the
@@ -230,7 +230,7 @@ func TestSetOpsForest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ea, eb := fa.Encode(), fb.Encode()
+		ea, eb := fa, fb
 		prod := &ftree.T{
 			Roots:  append(append([]*ftree.Node{}, ea.Tree.Roots...), eb.Tree.Roots...),
 			Rels:   append(append([]relation.AttrSet{}, ea.Tree.Rels...), eb.Tree.Rels...),

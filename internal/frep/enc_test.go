@@ -9,66 +9,84 @@ import (
 	"repro/internal/relation"
 )
 
-// quickFRep builds a random factorised representation (or nil when the
+// quickEnc builds a random factorised representation (or nil when the
 // random relation does not factorise over the random tree).
-func quickFRep(seed int64) *FRep {
-	fr, err := FromRelation(quickTree(seed), quickRel(seed))
+func quickEnc(seed int64) *Enc {
+	e, err := FromRelation(quickTree(seed), quickRel(seed))
 	if err != nil {
 		return nil
 	}
-	return fr
+	return e
 }
 
-// Property: Decode(Encode(f)) is structurally equal to f, and the encoded
-// form validates.
+// flatRef is the flat reference for e built from rel: rel's tuples in e's
+// schema order, sorted lexicographically — exactly the enumeration order.
+func flatRef(e *Enc, rel *relation.Relation) []relation.Tuple {
+	ref := rel.Project(e.Schema())
+	ref.SortBy(ref.Schema)
+	return ref.Tuples
+}
+
+// Property: encoding a relation (FromRelation) and decoding it (Relation)
+// is the identity, and the encoded form validates.
 func TestQuickEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
+		r := quickRel(seed)
+		e, err := FromRelation(quickTree(seed), r)
+		if err != nil {
+			return false
 		}
-		e := fr.Encode()
 		if err := e.Validate(); err != nil {
 			t.Logf("validate: %v", err)
 			return false
 		}
-		return e.Decode().Equal(fr)
+		return e.Relation("back").Project(r.Schema).Equal(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: the encoded measures agree with the pointer measures.
+// Property: the encoded measures agree with the flat relation. Over a
+// fixed f-tree every entry at node n stands for one distinct value
+// combination of the classes on the root-to-n path, so the size is the
+// number of such distinct path projections times n's visible attributes.
 func TestQuickEncMeasures(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
+		r := quickRel(seed)
+		e, err := FromRelation(quickTree(seed), r)
+		if err != nil {
+			return false
 		}
-		e := fr.Encode()
-		return e.Count() == fr.Count() && e.Size() == fr.Size() &&
-			e.FlatSize() == fr.FlatSize() && e.IsEmpty() == fr.IsEmpty()
+		size := 0
+		if r.Cardinality() > 0 {
+			for ni := 0; ni < e.NodeCount(); ni++ {
+				var path []relation.Attribute
+				for p := ni; p >= 0; p = e.Parent(p) {
+					path = append(path, e.Node(p).Attrs[0])
+				}
+				size += r.Project(path).Cardinality() * len(e.Node(ni).Attrs)
+			}
+		}
+		n := int64(r.Cardinality())
+		return e.Count() == n && e.Size() == size &&
+			e.FlatSize() == n*int64(len(e.Schema())) && e.IsEmpty() == (n == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: encoded enumeration (push and pull) yields exactly the pointer
-// enumeration, in the same order.
+// Property: encoded enumeration (push and pull) yields exactly the flat
+// relation in lexicographic schema order.
 func TestQuickEncEnumeration(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
-			return true
+		r := quickRel(seed)
+		e, err := FromRelation(quickTree(seed), r)
+		if err != nil {
+			return false
 		}
-		e := fr.Encode()
-		var want []relation.Tuple
-		fr.Enumerate(func(tp relation.Tuple) bool {
-			want = append(want, tp.Clone())
-			return true
-		})
+		want := flatRef(e, r)
 		var got []relation.Tuple
 		e.Enumerate(func(tp relation.Tuple) bool {
 			got = append(got, tp.Clone())
@@ -108,8 +126,8 @@ func TestQuickEncEnumeration(t *testing.T) {
 	}
 }
 
-// Property: encoded aggregation agrees with pointer aggregation, grouped
-// and global.
+// Property: encoded aggregation agrees with the aggregates folded over the
+// flat relation, grouped and global.
 func TestQuickEncAggregate(t *testing.T) {
 	specs := []AggSpec{
 		{Fn: AggCount},
@@ -120,35 +138,13 @@ func TestQuickEncAggregate(t *testing.T) {
 	}
 	for _, groupBy := range [][]relation.Attribute{nil, {"A"}, {"A", "B"}} {
 		f := func(seed int64) bool {
-			fr := quickFRep(seed)
-			if fr == nil {
-				return true
-			}
-			e := fr.Encode()
-			want, err1 := fr.Aggregate(groupBy, specs)
-			got, err2 := e.Aggregate(groupBy, specs)
-			if (err1 == nil) != (err2 == nil) {
+			r := quickRel(seed)
+			e, err := FromRelation(quickTree(seed), r)
+			if err != nil {
 				return false
 			}
-			if err1 != nil {
-				return true
-			}
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				for k := range got[i].Key {
-					if got[i].Key[k] != want[i].Key[k] {
-						return false
-					}
-				}
-				for k := range got[i].Vals {
-					if got[i].Vals[k] != want[i].Vals[k] {
-						return false
-					}
-				}
-			}
-			return true
+			got, err := e.Aggregate(groupBy, specs)
+			return err == nil && rowsEqual(got, foldAgg(r, groupBy, specs))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Fatalf("groupBy %v: %v", groupBy, err)
@@ -156,7 +152,7 @@ func TestQuickEncAggregate(t *testing.T) {
 	}
 }
 
-// The empty representation round-trips and behaves.
+// The empty representation validates, measures zero and enumerates nothing.
 func TestEncEmpty(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A").Add(ftree.NewNode("B"))},
 		[]relation.AttrSet{relation.NewAttrSet("A", "B")})
@@ -167,12 +163,12 @@ func TestEncEmpty(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	fr := e.Decode()
-	if !fr.IsEmpty() {
-		t.Fatal("decoded empty enc is not empty")
+	fr, err := FromRelation(tr, relation.New("R", relation.Schema{"A", "B"}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !fr.Encode().Equal(e) {
-		t.Fatal("empty enc does not round-trip")
+	if !fr.Equal(e) {
+		t.Fatal("the empty relation does not encode to the empty enc")
 	}
 	n := 0
 	e.Enumerate(func(relation.Tuple) bool { n++; return true })
@@ -191,11 +187,11 @@ func TestEncConcatProduct(t *testing.T) {
 		}
 		r.Dedup()
 		tr := ftree.New([]*ftree.Node{ftree.NewNode(attr)}, []relation.AttrSet{relation.NewAttrSet(attr)})
-		fr, err := FromRelation(tr, r)
+		e, err := FromRelation(tr, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fr.Encode()
+		return e
 	}
 	a, b := mk("X", 8), mk("Y", 5)
 	tree := &ftree.T{
@@ -214,13 +210,12 @@ func TestEncConcatProduct(t *testing.T) {
 	}
 }
 
-// DropLeaf removes exactly one leaf column and keeps everything else.
+// DropNode removes exactly one leaf column and keeps everything else.
 func TestEncDropLeaf(t *testing.T) {
-	fr := quickFRep(3)
-	for seed := int64(4); fr == nil; seed++ {
-		fr = quickFRep(seed)
+	e := quickEnc(3)
+	for seed := int64(4); e == nil; seed++ {
+		e = quickEnc(seed)
 	}
-	e := fr.Encode()
 	// Find a leaf node index.
 	leaf := -1
 	var leafNode *ftree.Node
@@ -232,11 +227,11 @@ func TestEncDropLeaf(t *testing.T) {
 	if leaf < 0 {
 		t.Skip("no leaf")
 	}
-	nt := e.Tree // DropLeaf contract: tree already mutated by the caller
+	nt := e.Tree // DropNode contract: tree already mutated by the caller
 	if err := nt.RemoveLeaf(leafNode); err != nil {
 		t.Fatal(err)
 	}
-	d := e.DropLeaf(nt, leaf)
+	d := e.DropNode(nt, leaf)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,10 @@ import (
 // identity — same validation, same enumeration — without copying the arena.
 func TestQuickExportAdoptRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		fr := quickFRep(seed)
-		if fr == nil {
+		e := quickEnc(seed)
+		if e == nil {
 			return true
 		}
-		e := fr.Encode()
 		a, spans := e.Export()
 		got, err := AdoptEnc(e.Tree.Clone(), a, spans)
 		if err != nil {
@@ -47,9 +46,9 @@ func TestQuickExportAdoptRoundTrip(t *testing.T) {
 func TestAdoptEncRejectsHostileSpans(t *testing.T) {
 	var e *Enc
 	for seed := int64(0); ; seed++ {
-		fr := quickFRep(seed)
+		fr := quickEnc(seed)
 		if fr != nil && !fr.IsEmpty() {
-			e = fr.Encode()
+			e = fr
 			break
 		}
 	}

@@ -1,9 +1,9 @@
 // Package frep implements factorised representations (f-representations,
 // Definition 1 of the paper) stored structurally against their f-tree
 // (Definition 2). Each f-tree node corresponds, at every position in the
-// data, to a Union: a value-sorted list of entries, one child Union per
-// f-tree child. The top level holds one Union per f-tree root (their
-// product).
+// data, to a union: a value-sorted list of entries, one child union per
+// f-tree child. The top level holds one union per f-tree root (their
+// product). Enc stores all of them in flat, arena-backed columns.
 //
 // The representation maintains two invariants from Section 3:
 //
@@ -21,116 +21,6 @@ import (
 	"repro/internal/ftree"
 	"repro/internal/relation"
 )
-
-// Union is the f-representation fragment for one f-tree node at one
-// position: ⋃_a ⟨A₁:a⟩×…×⟨A_k:a⟩ × E_a^1 × … × E_a^m.
-type Union struct {
-	Entries []Entry
-}
-
-// Entry is one term of a union: a value paired with one child union per
-// child of the owning f-tree node.
-type Entry struct {
-	Val      relation.Value
-	Children []*Union
-}
-
-// FRep is a factorised representation over an f-tree.
-type FRep struct {
-	Tree  *ftree.T
-	Roots []*Union // parallel to Tree.Roots
-	// Empty marks the empty relation ∅ explicitly; it is also implied by
-	// any root union having no entries.
-	Empty bool
-}
-
-// New returns an f-representation scaffold with empty root unions (the
-// empty relation) for the given tree.
-func New(t *ftree.T) *FRep {
-	fr := &FRep{Tree: t, Empty: true}
-	for range t.Roots {
-		fr.Roots = append(fr.Roots, &Union{})
-	}
-	return fr
-}
-
-// IsEmpty reports whether the represented relation is empty.
-func (f *FRep) IsEmpty() bool {
-	if f.Empty {
-		return true
-	}
-	for _, u := range f.Roots {
-		if len(u.Entries) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Clone deep-copies the representation (and its tree).
-func (f *FRep) Clone() *FRep {
-	out := &FRep{Tree: f.Tree.Clone(), Empty: f.Empty}
-	for _, u := range f.Roots {
-		out.Roots = append(out.Roots, u.clone())
-	}
-	return out
-}
-
-func (u *Union) clone() *Union {
-	out := &Union{Entries: make([]Entry, len(u.Entries))}
-	for i, e := range u.Entries {
-		ne := Entry{Val: e.Val, Children: make([]*Union, len(e.Children))}
-		for j, c := range e.Children {
-			ne.Children[j] = c.clone()
-		}
-		out.Entries[i] = ne
-	}
-	return out
-}
-
-// Size returns the number of singletons, the size measure |E| of the paper.
-// Hidden attributes contribute nothing (their singletons are the nullary
-// ⟨⟩); constant attributes still count (they hold a value).
-func (f *FRep) Size() int {
-	if f.IsEmpty() {
-		return 0
-	}
-	total := 0
-	for i, u := range f.Roots {
-		total += f.size(u, f.Tree.Roots[i])
-	}
-	return total
-}
-
-func (f *FRep) size(u *Union, n *ftree.Node) int {
-	vis := 0
-	for _, a := range n.Attrs {
-		if !f.Tree.Hidden.Has(a) {
-			vis++
-		}
-	}
-	total := len(u.Entries) * vis
-	for _, e := range u.Entries {
-		for j, c := range e.Children {
-			total += f.size(c, n.Children[j])
-		}
-	}
-	return total
-}
-
-// Count returns the number of tuples in the represented relation. Counts
-// use big-ish arithmetic via float64 guard: for the paper's workloads tuple
-// counts fit int64; Count saturates at math.MaxInt64 on overflow.
-func (f *FRep) Count() int64 {
-	if f.IsEmpty() {
-		return 0
-	}
-	total := int64(1)
-	for i, u := range f.Roots {
-		total = satMul(total, countUnion(u, f.Tree.Roots[i]))
-	}
-	return total
-}
 
 const maxInt64 = int64(^uint64(0) >> 1)
 
@@ -155,33 +45,15 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// countUnion counts the tuples represented by one union (also the
-// count-only fast path of the aggregation evaluator).
-func countUnion(u *Union, n *ftree.Node) int64 {
-	var total int64
-	for _, e := range u.Entries {
-		prod := int64(1)
-		for j, c := range e.Children {
-			prod = satMul(prod, countUnion(c, n.Children[j]))
-		}
-		total = satAdd(total, prod)
-	}
-	return total
-}
-
-// Schema returns the visible attributes of the representation in canonical
-// enumeration order: depth-first over the f-tree, attributes within a node
-// in sorted order, roots left to right.
-func (f *FRep) Schema() relation.Schema { return treeSchema(f.Tree) }
-
-// treeSchema is the canonical enumeration order shared by the pointer and
-// encoded forms.
-func treeSchema(t *ftree.T) relation.Schema {
+// Schema returns the visible attributes in canonical enumeration order:
+// depth-first over the f-tree, attributes within a node in sorted order,
+// roots left to right.
+func (e *Enc) Schema() relation.Schema {
 	var out relation.Schema
 	var walk func(n *ftree.Node)
 	walk = func(n *ftree.Node) {
 		for _, a := range n.Attrs {
-			if !t.Hidden.Has(a) {
+			if !e.Tree.Hidden.Has(a) {
 				out = append(out, a)
 			}
 		}
@@ -189,163 +61,27 @@ func treeSchema(t *ftree.T) relation.Schema {
 			walk(c)
 		}
 	}
-	for _, r := range t.Roots {
+	for _, r := range e.Tree.Roots {
 		walk(r)
 	}
 	return out
 }
 
-// Enumerate calls yield for each tuple of the represented relation, in
-// lexicographic order of Schema(). Enumeration stops early if yield returns
-// false. The buffer passed to yield is reused; clone it to retain.
-func (f *FRep) Enumerate(yield func(relation.Tuple) bool) {
-	if f.IsEmpty() {
-		return
-	}
-	schema := f.Schema()
-	buf := make(relation.Tuple, len(schema))
-	pos := map[relation.Attribute]int{}
-	for i, a := range schema {
-		pos[a] = i
-	}
-	stopped := false
-	// rec enumerates the product of unions us (for nodes ns) starting at
-	// index i, then calls done.
-	var rec func(us []*Union, ns []*ftree.Node, i int, done func())
-	rec = func(us []*Union, ns []*ftree.Node, i int, done func()) {
-		if stopped {
-			return
-		}
-		if i == len(us) {
-			done()
-			return
-		}
-		n := ns[i]
-		for _, e := range us[i].Entries {
-			for _, a := range n.Attrs {
-				if p, ok := pos[a]; ok {
-					buf[p] = e.Val
-				}
-			}
-			rec(e.Children, n.Children, 0, func() {
-				rec(us, ns, i+1, done)
-			})
-			if stopped {
-				return
-			}
-		}
-	}
-	rec(f.Roots, f.Tree.Roots, 0, func() {
-		if !yield(buf) {
-			stopped = true
-		}
-	})
-}
-
-// Relation materialises the represented relation.
-func (f *FRep) Relation(name string) *relation.Relation {
-	out := relation.New(name, f.Schema())
-	f.Enumerate(func(t relation.Tuple) bool {
-		out.AppendTuple(t.Clone())
-		return true
-	})
-	return out
-}
-
-// Validate checks the structural invariants: union shapes parallel the
-// f-tree, values strictly increase, and non-root unions are non-empty.
-func (f *FRep) Validate() error {
-	if len(f.Roots) != len(f.Tree.Roots) {
-		return fmt.Errorf("frep: %d root unions for %d tree roots", len(f.Roots), len(f.Tree.Roots))
-	}
-	if f.Empty {
-		return nil
-	}
-	for i, u := range f.Roots {
-		if err := f.validate(u, f.Tree.Roots[i], true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *FRep) validate(u *Union, n *ftree.Node, root bool) error {
-	if !root && len(u.Entries) == 0 {
-		return fmt.Errorf("frep: empty non-root union at node %v", n.Attrs)
-	}
-	var prev relation.Value
-	for i, e := range u.Entries {
-		if i > 0 && e.Val <= prev {
-			return fmt.Errorf("frep: order violation at node %v: %d after %d", n.Attrs, e.Val, prev)
-		}
-		prev = e.Val
-		if len(e.Children) != len(n.Children) {
-			return fmt.Errorf("frep: entry at node %v has %d children, tree has %d",
-				n.Attrs, len(e.Children), len(n.Children))
-		}
-		for j, c := range e.Children {
-			if err := f.validate(c, n.Children[j], false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Equal reports whether two representations have identical structure over
-// trees with equal canonical forms. (Structural equality; for semantic
-// equality of differently-factorised data compare Relation() outputs.)
-func (f *FRep) Equal(o *FRep) bool {
-	if f.Tree.Canonical() != o.Tree.Canonical() {
-		return false
-	}
-	if f.IsEmpty() || o.IsEmpty() {
-		return f.IsEmpty() == o.IsEmpty()
-	}
-	if len(f.Roots) != len(o.Roots) {
-		return false
-	}
-	for i := range f.Roots {
-		if !f.Roots[i].equal(o.Roots[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (u *Union) equal(o *Union) bool {
-	if len(u.Entries) != len(o.Entries) {
-		return false
-	}
-	for i := range u.Entries {
-		a, b := &u.Entries[i], &o.Entries[i]
-		if a.Val != b.Val || len(a.Children) != len(b.Children) {
-			return false
-		}
-		for j := range a.Children {
-			if !a.Children[j].equal(b.Children[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // String renders the representation in the paper's notation, e.g.
 // ⟨item:2⟩×(⟨oid:1⟩∪⟨oid:3⟩). Values print numerically; use StringDict for
 // dictionary-decoded output.
-func (f *FRep) String() string { return f.render(nil) }
+func (e *Enc) String() string { return e.render(nil) }
 
 // StringDict renders with values decoded through d.
-func (f *FRep) StringDict(d *relation.Dict) string { return f.render(d) }
+func (e *Enc) StringDict(d *relation.Dict) string { return e.render(d) }
 
-func (f *FRep) render(d *relation.Dict) string {
-	if f.IsEmpty() {
+func (e *Enc) render(d *relation.Dict) string {
+	if e.IsEmpty() {
 		return "∅"
 	}
 	var parts []string
-	for i, u := range f.Roots {
-		parts = append(parts, f.renderUnion(u, f.Tree.Roots[i], d))
+	for _, ri := range e.ti.roots {
+		parts = append(parts, e.renderUnion(ri, 0, d))
 	}
 	if len(parts) == 0 {
 		return "⟨⟩"
@@ -353,28 +89,30 @@ func (f *FRep) render(d *relation.Dict) string {
 	return strings.Join(parts, " × ")
 }
 
-func (f *FRep) renderUnion(u *Union, n *ftree.Node, d *relation.Dict) string {
-	terms := make([]string, 0, len(u.Entries))
-	for _, e := range u.Entries {
+func (e *Enc) renderUnion(ni, u int, d *relation.Dict) string {
+	lo, hi := e.UnionSpan(ni, u)
+	vals := e.Vals(ni)
+	terms := make([]string, 0, hi-lo)
+	for j := lo; j < hi; j++ {
 		var b strings.Builder
-		for i, a := range n.Attrs {
+		for i, a := range e.ti.nodes[ni].Attrs {
 			if i > 0 {
 				b.WriteString("×")
 			}
-			val := fmt.Sprintf("%d", int64(e.Val))
+			val := fmt.Sprintf("%d", int64(vals[j]))
 			if d != nil {
-				val = d.Decode(e.Val)
+				val = d.Decode(vals[j])
 			}
 			fmt.Fprintf(&b, "⟨%s:%s⟩", a, val)
 		}
-		for j, c := range e.Children {
+		for _, ci := range e.ti.kids[ni] {
 			b.WriteString("×")
-			b.WriteString(f.renderUnion(c, n.Children[j], d))
+			b.WriteString(e.renderUnion(ci, int(j), d))
 		}
 		terms = append(terms, b.String())
 	}
 	s := strings.Join(terms, " ∪ ")
-	if len(u.Entries) > 1 {
+	if hi-lo > 1 {
 		return "(" + s + ")"
 	}
 	return s
@@ -385,7 +123,7 @@ func (f *FRep) renderUnion(u *Union, n *ftree.Node, d *relation.Dict) string {
 // attributes of the same class must agree on every tuple. If rel does not
 // factorise over t (the conditional-independence structure of t does not
 // hold in the data, cf. Example 3), an error is returned.
-func FromRelation(t *ftree.T, rel *relation.Relation) (*FRep, error) {
+func FromRelation(t *ftree.T, rel *relation.Relation) (*Enc, error) {
 	for a := range t.Attrs() {
 		if !rel.Schema.Contains(a) {
 			return nil, fmt.Errorf("frep: tree attribute %q not in relation schema", a)
@@ -393,87 +131,57 @@ func FromRelation(t *ftree.T, rel *relation.Relation) (*FRep, error) {
 	}
 	r := rel.Clone()
 	r.Dedup()
-	fr := &FRep{Tree: t}
 	if r.Cardinality() == 0 {
-		fr.Empty = true
-		for range t.Roots {
-			fr.Roots = append(fr.Roots, &Union{})
-		}
-		return fr, nil
+		return NewEmptyEnc(t), nil
 	}
-	for _, root := range t.Roots {
-		u, err := buildUnion(root, projectOnto(r, root))
-		if err != nil {
+	b := NewEncBuilder(t)
+	// emit groups rows by the class value of node ni and emits one entry per
+	// group, recursing into the children over the group's rows. Groups are
+	// contiguous after the sort, so each child may re-sort them in place.
+	var emit func(ni int, rows []relation.Tuple) error
+	emit = func(ni int, rows []relation.Tuple) error {
+		n := b.ti.nodes[ni]
+		cols := make([]int, len(n.Attrs))
+		for i, a := range n.Attrs {
+			cols[i] = r.Schema.Index(a)
+		}
+		for _, tu := range rows {
+			for _, c := range cols[1:] {
+				if tu[c] != tu[cols[0]] {
+					return fmt.Errorf("frep: class %v has unequal values in tuple %v", n.Attrs, tu)
+				}
+			}
+		}
+		col := cols[0]
+		sort.SliceStable(rows, func(i, j int) bool { return rows[i][col] < rows[j][col] })
+		for lo := 0; lo < len(rows); {
+			hi := lo
+			for hi < len(rows) && rows[hi][col] == rows[lo][col] {
+				hi++
+			}
+			b.Append(ni, rows[lo][col])
+			for _, ci := range b.ti.kids[ni] {
+				if err := emit(ci, rows[lo:hi]); err != nil {
+					return err
+				}
+				b.CloseUnion(ci)
+			}
+			lo = hi
+		}
+		return nil
+	}
+	for _, ri := range b.ti.roots {
+		if err := emit(ri, r.Tuples); err != nil {
 			return nil, err
 		}
-		fr.Roots = append(fr.Roots, u)
+		b.CloseUnion(ri)
 	}
-	// The grouping above always produces a representation of a superset of
-	// rel (the product closure); it is exact iff the tuple counts agree.
-	if fr.Count() != int64(r.Cardinality()) {
+	e := b.Finish()
+	// The grouping above always represents a superset of rel (the product
+	// closure); it is exact iff the tuple counts agree.
+	if e.Count() != int64(r.Cardinality()) {
 		return nil, fmt.Errorf("frep: relation does not factorise over the given f-tree (represented %d tuples, relation has %d)",
-			fr.Count(), r.Cardinality())
+			e.Count(), r.Cardinality())
 	}
-	return fr, nil
-}
-
-// projectOnto projects rel onto the attributes of the subtree rooted at n.
-func projectOnto(rel *relation.Relation, n *ftree.Node) *relation.Relation {
-	attrs := relation.AttrSet{}
-	collectAttrs(n, attrs)
-	var sub []relation.Attribute
-	for _, a := range rel.Schema {
-		if attrs.Has(a) {
-			sub = append(sub, a)
-		}
-	}
-	return rel.Project(sub)
-}
-
-func collectAttrs(n *ftree.Node, dst relation.AttrSet) {
-	for _, a := range n.Attrs {
-		dst.Add(a)
-	}
-	for _, c := range n.Children {
-		collectAttrs(c, dst)
-	}
-}
-
-func buildUnion(n *ftree.Node, rel *relation.Relation) (*Union, error) {
-	col := rel.Schema.Index(n.Attrs[0])
-	// All class attributes must agree.
-	cols := make([]int, len(n.Attrs))
-	for i, a := range n.Attrs {
-		cols[i] = rel.Schema.Index(a)
-	}
-	for _, t := range rel.Tuples {
-		for _, c := range cols[1:] {
-			if t[c] != t[cols[0]] {
-				return nil, fmt.Errorf("frep: class %v has unequal values in tuple %v", n.Attrs, t)
-			}
-		}
-	}
-	order := []relation.Attribute{n.Attrs[0]}
-	rel.SortBy(order)
-	u := &Union{}
-	for lo := 0; lo < len(rel.Tuples); {
-		hi := lo
-		v := rel.Tuples[lo][col]
-		for hi < len(rel.Tuples) && rel.Tuples[hi][col] == v {
-			hi++
-		}
-		group := &relation.Relation{Name: rel.Name, Schema: rel.Schema, Tuples: rel.Tuples[lo:hi]}
-		e := Entry{Val: v}
-		for _, c := range n.Children {
-			cu, err := buildUnion(c, projectOnto(group, c))
-			if err != nil {
-				return nil, err
-			}
-			e.Children = append(e.Children, cu)
-		}
-		u.Entries = append(u.Entries, e)
-		lo = hi
-	}
-	sort.Slice(u.Entries, func(i, j int) bool { return u.Entries[i].Val < u.Entries[j].Val })
-	return u, nil
+	return e, nil
 }

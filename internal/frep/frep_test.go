@@ -259,13 +259,23 @@ func TestCloneAndEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := f.Clone()
-	if !f.Equal(c) {
-		t.Fatal("clone not equal")
+	view := f.ReTree(f.Tree.Clone())
+	if !f.Equal(view) {
+		t.Fatal("view over a cloned tree not equal")
 	}
-	c.Roots[0].Entries[0].Val++
+	c, err := FromRelation(t1(), g.q1()) // an independent arena
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Equal(c) {
+		t.Fatal("rebuilt representation not equal")
+	}
+	c.Vals(0)[0]++
 	if f.Equal(c) {
-		t.Fatal("mutated clone still equal (shallow copy?)")
+		t.Fatal("mutated copy still equal (shared arena?)")
+	}
+	if !f.Equal(view) {
+		t.Fatal("mutating an independent copy disturbed the original")
 	}
 }
 
@@ -275,15 +285,16 @@ func TestValidateCatchesOrderViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap two root entries to break ordering.
-	f.Roots[0].Entries[0], f.Roots[0].Entries[1] = f.Roots[0].Entries[1], f.Roots[0].Entries[0]
+	// Swap two root entries to break ordering (f's arena is private here).
+	vals := f.Vals(f.Roots()[0])
+	vals[0], vals[1] = vals[1], vals[0]
 	if err := f.Validate(); err == nil {
 		t.Fatal("order violation not detected")
 	}
 }
 
 func TestSchemaDFSOrder(t *testing.T) {
-	f := New(t1())
+	f := NewEmptyEnc(t1())
 	want := relation.Schema{"item", "oid", "location", "dispatcher"}
 	if !f.Schema().Equal(want) {
 		t.Fatalf("Schema() = %v, want %v", f.Schema(), want)
@@ -424,5 +435,33 @@ func TestStringRendering(t *testing.T) {
 	want := "⟨A:1⟩×(⟨B:1⟩ ∪ ⟨B:2⟩)"
 	if got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	// A forest renders as the product of its roots; a merged class as the
+	// product of its attributes' singletons; the empty relation as ∅.
+	forest := ftree.New(
+		[]*ftree.Node{ftree.NewNode("A", "C"), ftree.NewNode("B")},
+		[]relation.AttrSet{relation.NewAttrSet("A", "C"), relation.NewAttrSet("B")})
+	r2 := relation.New("R", relation.Schema{"A", "B", "C"})
+	r2.Append(1, 5, 1)
+	r2.Append(2, 5, 2)
+	f2, err := FromRelation(forest, r2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f2.String(), "(⟨A:1⟩×⟨C:1⟩ ∪ ⟨A:2⟩×⟨C:2⟩) × ⟨B:5⟩"; got != want {
+		t.Fatalf("forest String() = %q, want %q", got, want)
+	}
+	if got := NewEmptyEnc(chain).String(); got != "∅" {
+		t.Fatalf("empty String() = %q, want ∅", got)
+	}
+	d := relation.NewDict()
+	r3 := relation.New("R", relation.Schema{"A", "B"})
+	r3.Append(d.Encode("x"), d.Encode("y"))
+	f3, err := FromRelation(chain, r3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f3.StringDict(d), "⟨A:x⟩×⟨B:y⟩"; got != want {
+		t.Fatalf("StringDict() = %q, want %q", got, want)
 	}
 }

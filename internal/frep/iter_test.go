@@ -9,7 +9,7 @@ import (
 )
 
 // TestIteratorMatchesEnumerate: the pull-based iterator must produce
-// exactly the Enumerate sequence.
+// exactly the represented relation, in lexicographic schema order.
 func TestIteratorMatchesEnumerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
@@ -24,12 +24,11 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []relation.Tuple
-		f.Enumerate(func(tp relation.Tuple) bool {
-			want = append(want, tp.Clone())
-			return true
-		})
-		it := NewIterator(f)
+		// The reference is the flat relation in lexicographic schema order.
+		ref := r.Project(f.Schema())
+		ref.SortBy(ref.Schema)
+		want := ref.Tuples
+		it := NewEncIterator(f)
 		if !it.Schema().Equal(f.Schema()) {
 			t.Fatal("iterator schema differs")
 		}
@@ -42,7 +41,7 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 			got = append(got, tp.Clone())
 		}
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: iterator produced %d tuples, Enumerate %d", trial, len(got), len(want))
+			t.Fatalf("trial %d: iterator produced %d tuples, relation has %d", trial, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Compare(want[i]) != 0 {
@@ -67,8 +66,8 @@ func TestIteratorMatchesEnumerate(t *testing.T) {
 func TestIteratorEmpty(t *testing.T) {
 	tr := ftree.New([]*ftree.Node{ftree.NewNode("A")},
 		[]relation.AttrSet{relation.NewAttrSet("A")})
-	f := New(tr)
-	it := NewIterator(f)
+	f := NewEmptyEnc(tr)
+	it := NewEncIterator(f)
 	if _, ok := it.Next(); ok {
 		t.Fatal("empty representation produced a tuple")
 	}
@@ -94,7 +93,7 @@ func TestIteratorForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := NewIterator(f)
+	it := NewEncIterator(f)
 	count := 0
 	var prev relation.Tuple
 	for {

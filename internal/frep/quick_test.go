@@ -66,8 +66,8 @@ func TestQuickSizeBound(t *testing.T) {
 	}
 }
 
-// Property: Clone is deep — mutating the clone never changes the original's
-// relation.
+// Property: a cloned tree is deep — a view over it may re-mark its
+// attributes (as projection does) without changing the original's measures.
 func TestQuickCloneIsDeep(t *testing.T) {
 	f := func(seed int64) bool {
 		r := quickRel(seed)
@@ -79,10 +79,9 @@ func TestQuickCloneIsDeep(t *testing.T) {
 			return false
 		}
 		before := fr.Size()
-		c := fr.Clone()
-		c.Roots[0].Entries = nil
-		c.Empty = true
-		return fr.Size() == before && !fr.IsEmpty()
+		c := fr.ReTree(fr.Tree.Clone())
+		c.Tree.MarkHidden(c.Tree.Attrs().Sorted())
+		return c.Size() == 0 && fr.Size() == before && len(fr.Schema()) == 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

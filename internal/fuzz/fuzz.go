@@ -76,6 +76,15 @@ type Case struct {
 	// sels2, joined by union (1), union all (2), except (3) or intersect (4).
 	setOp int
 	sels2 []core.ConstSel
+	// Where/Join leg (every case): whereEqs (and, when non-nil,
+	// whereProject) are applied to the joined, selected result through
+	// Result.Where; the relations split at joinSplit into two legs that
+	// Result.Join recombines on the equalities crossing the split plus
+	// joinEqs.
+	whereEqs     []core.Equality
+	whereProject []relation.Attribute
+	joinSplit    int
+	joinEqs      []core.Equality
 }
 
 // NewCase derives a case from the seed.
@@ -199,6 +208,31 @@ func NewCase(seed int64) (*Case, error) {
 			c.setOp = 1 + rng.Intn(4)
 			c.sels2 = gen.RandomConstSels(rng, attrs, 2, m, ops)
 		}
+	}
+	// The Where/Join leg draws last: drawing earlier would change every
+	// field above for a given seed, and with them the checked-in corpus.
+	for i := 1 + rng.Intn(2); i > 0; i-- {
+		if x, y := attrs[rng.Intn(len(attrs))], attrs[rng.Intn(len(attrs))]; x != y {
+			c.whereEqs = append(c.whereEqs, core.Equality{A: x, B: y})
+		}
+	}
+	if rng.Intn(2) == 0 {
+		perm := rng.Perm(len(attrs))
+		for _, i := range perm[:1+rng.Intn(len(attrs))] {
+			c.whereProject = append(c.whereProject, attrs[i])
+		}
+	}
+	c.joinSplit = 1 + rng.Intn(len(rels)-1)
+	if rng.Intn(2) == 0 {
+		var left, right []relation.Attribute
+		for i, rel := range rels {
+			if i < c.joinSplit {
+				left = append(left, rel.Schema...)
+			} else {
+				right = append(right, rel.Schema...)
+			}
+		}
+		c.joinEqs = []core.Equality{{A: left[rng.Intn(len(left))], B: right[rng.Intn(len(right))]}}
 	}
 	return c, nil
 }
@@ -329,7 +363,7 @@ func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB
 	}
 
 	// Oracle: the flat relational engine on the same qualified query.
-	flat, err := c.oracleFlat(c.sels)
+	flat, err := c.oracleFlat(c.eqs, c.sels)
 	if err != nil {
 		return fail("oracle: %v", err)
 	}
@@ -337,6 +371,9 @@ func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB
 		return nil // flat result past the cap: not this harness's business
 	}
 
+	if err := c.checkWhereJoin(db, clauses, fail); err != nil {
+		return err
+	}
 	if len(c.aggs) > 0 {
 		return c.checkAgg(db, clauses, flat, fail)
 	}
@@ -347,6 +384,95 @@ func (c *Case) run(parallelism int, persist func(*fdb.DB, []fdb.Clause) (*fdb.DB
 		return c.checkSet(db, base, flat, fail)
 	}
 	return nil
+}
+
+// checkWhereJoin runs the follow-up f-plans of the case against the flat
+// oracle of the combined query: the case's join and selections refined by
+// extra equalities (and a projection) through Result.Where, and the
+// relations split into two legs recombined through Result.Join. Both run
+// the f-plan operators — swap and absorb among them — on built
+// representations; the results compare unordered and unclipped.
+func (c *Case) checkWhereJoin(db *fdb.DB, clauses []fdb.Clause, fail func(string, ...interface{}) error) error {
+	plain := *c
+	plain.orderBy, plain.offset, plain.limit, plain.distinct = nil, 0, -1, false
+
+	res, err := db.Query(clauses...)
+	if err != nil {
+		return fail("query: %v", err)
+	}
+	var where []fdb.Clause
+	for _, e := range c.whereEqs {
+		where = append(where, fdb.Eq(string(e.A), string(e.B)))
+	}
+	if c.whereProject != nil {
+		where = append(where, fdb.Project(attrNames(c.whereProject)...))
+	}
+	if res, err = res.Where(where...); err != nil {
+		return fail("where: %v", err)
+	}
+	want, err := c.oracleFlat(append(append([]core.Equality{}, c.eqs...), c.whereEqs...), c.sels)
+	if err != nil {
+		return fail("where oracle: %v", err)
+	}
+	if want != nil {
+		if c.whereProject != nil {
+			want = want.Project(c.whereProject)
+		}
+		if err := plain.comparePlain(res, want, fail); err != nil {
+			return fmt.Errorf("where leg %v project %v: %w", c.whereEqs, c.whereProject, err)
+		}
+	}
+
+	// Join leg: each side keeps the equalities within it; the rest join.
+	side := map[relation.Attribute]int{} // 0: left leg, 1: right leg
+	for _, rel := range c.rels[c.joinSplit:] {
+		for _, a := range rel.Schema {
+			side[a] = 1
+		}
+	}
+	legs := [2][]fdb.Clause{{fdb.From(c.names[:c.joinSplit]...)}, {fdb.From(c.names[c.joinSplit:]...)}}
+	var on []fdb.Clause
+	for _, e := range c.eqs {
+		eq := fdb.Eq(string(e.A), string(e.B))
+		if l := side[e.A]; l == side[e.B] {
+			legs[l] = append(legs[l], eq)
+		} else {
+			on = append(on, eq)
+		}
+	}
+	for _, e := range c.joinEqs {
+		on = append(on, fdb.Eq(string(e.A), string(e.B)))
+	}
+	var parts [2]*fdb.Result
+	for i, leg := range legs {
+		if parts[i], err = db.Query(leg...); err != nil {
+			return fail("join leg %d: %v", i, err)
+		}
+	}
+	joined, err := parts[0].Join(parts[1], on...)
+	if err != nil {
+		return fail("join: %v", err)
+	}
+	want, err = c.oracleFlat(append(append([]core.Equality{}, c.eqs...), c.joinEqs...), nil)
+	if err != nil {
+		return fail("join oracle: %v", err)
+	}
+	if want == nil {
+		return nil
+	}
+	if err := plain.comparePlain(joined, want, fail); err != nil {
+		return fmt.Errorf("join leg split %d extra %v: %w", c.joinSplit, c.joinEqs, err)
+	}
+	return nil
+}
+
+// attrNames renders qualified attributes as the strings the clauses take.
+func attrNames(attrs []relation.Attribute) []string {
+	out := make([]string, len(attrs))
+	for i, a := range attrs {
+		out[i] = string(a)
+	}
+	return out
 }
 
 // selClauses renders a selection leg as fdb Cmp clauses (string form for
@@ -363,15 +489,16 @@ func (c *Case) selClauses(sels []core.ConstSel) []fdb.Clause {
 	return out
 }
 
-// oracleFlat evaluates one selection leg against the flat rdb oracle and
-// returns the materialised result (nil when past the materialisation cap).
+// oracleFlat evaluates the case's relations joined on eqs under one
+// selection leg against the flat rdb oracle and returns the materialised
+// result (nil when past the materialisation cap).
 // For string cases, range selections compare in decoded lexicographic order
 // — not in the oracle's integer value space — so they are applied as
 // string-space pre-filters on the inputs (a single-attribute selection
 // commutes with the equi-join); equalities commute with the injective
 // dictionary and stay in value space.
-func (c *Case) oracleFlat(sels []core.ConstSel) (*relation.Relation, error) {
-	oq := &core.Query{Equalities: c.eqs}
+func (c *Case) oracleFlat(eqs []core.Equality, sels []core.ConstSel) (*relation.Relation, error) {
+	oq := &core.Query{Equalities: eqs}
 	var strRanges []core.ConstSel
 	for _, s := range sels {
 		if c.strs != nil && s.Op != fdb.EQ && s.Op != fdb.NE {
@@ -426,11 +553,7 @@ func (c *Case) strRangeMatch(v relation.Value, s core.ConstSel) bool {
 // position must match (the factorised count must agree too).
 func (c *Case) checkPlain(db Querier, clauses []fdb.Clause, flat *relation.Relation, fail func(string, ...interface{}) error) error {
 	if c.project != nil {
-		ps := make([]string, len(c.project))
-		for i, a := range c.project {
-			ps[i] = string(a)
-		}
-		clauses = append(clauses, fdb.Project(ps...))
+		clauses = append(clauses, fdb.Project(attrNames(c.project)...))
 	}
 	if len(c.orderBy) > 0 {
 		keys := make([]interface{}, len(c.orderBy))
@@ -551,7 +674,7 @@ func (c *Case) comparePlain(res *fdb.Result, want *relation.Relation, fail func(
 // Result methods) and compares against the flat rdb set-algebra mirror over
 // the two legs' oracle results.
 func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation, fail func(string, ...interface{}) error) error {
-	flat2, err := c.oracleFlat(c.sels2)
+	flat2, err := c.oracleFlat(c.eqs, c.sels2)
 	if err != nil {
 		return fail("oracle leg 2: %v", err)
 	}
@@ -561,11 +684,7 @@ func (c *Case) checkSet(db *fdb.DB, base []fdb.Clause, flat1 *relation.Relation,
 	leg := func(sels []core.ConstSel) []fdb.Clause {
 		cl := append(append([]fdb.Clause{}, base...), c.selClauses(sels)...)
 		if c.project != nil {
-			ps := make([]string, len(c.project))
-			for i, a := range c.project {
-				ps[i] = string(a)
-			}
-			cl = append(cl, fdb.Project(ps...))
+			cl = append(cl, fdb.Project(attrNames(c.project)...))
 		}
 		return cl
 	}

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fbuild"
@@ -130,6 +132,38 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatalf("close(forceHeap=%v): %v", forceHeap, err)
 		}
+	}
+}
+
+// TestWriteReplacesExisting overwrites a published snapshot: the rename and
+// the directory sync behind it must leave exactly the final file, which
+// reopens intact. (A crash between rename and sync cannot be simulated in a
+// unit test; this only pins that the durable path still works.)
+func TestWriteReplacesExisting(t *testing.T) {
+	set := testSet(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.fdb")
+	for i := 0; i < 2; i++ {
+		if err := Write(path, set); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "snap.fdb" {
+		t.Fatalf("directory holds %v, want only snap.fdb", ents)
+	}
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	checkFile(t, set, f)
+	if err := Write(filepath.Join(dir, "missing", "snap.fdb"), set); err == nil ||
+		!strings.HasPrefix(err.Error(), "store: ") {
+		t.Fatalf("write into a missing directory: err = %v, want a store: error", err)
 	}
 }
 

@@ -191,7 +191,8 @@ func Encode(s *Set) ([]byte, error) {
 // Write atomically serialises s to path: the bytes land in a temporary file
 // in the same directory, are fsynced, and replace path by rename, so a
 // crash mid-save can never leave a half-written snapshot under the final
-// name.
+// name. The directory is fsynced after the rename, so the new name itself
+// survives a crash once Write returns.
 func Write(path string, s *Set) error {
 	buf, err := Encode(s)
 	if err != nil {
@@ -216,6 +217,17 @@ func Write(path string, s *Set) error {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("store: publish snapshot: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("store: open snapshot directory: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("store: sync snapshot directory: %w", err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("store: close snapshot directory: %w", err)
 	}
 	return nil
 }

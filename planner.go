@@ -107,115 +107,46 @@ func (db *DB) plannerPromoteAfter() int64 {
 // planTree picks a statement's f-tree through the tier policy: greedy by
 // default, escalating to the budgeted exhaustive search when the greedy
 // cost crosses the threshold (or when forced by PlannerExhaustive), and
-// keeping the greedy tree whenever the search exhausts its budget. The
-// returned flag reports whether the chosen tree came from the greedy tier
-// (and is therefore a promotion candidate). opt.ErrBudget never escapes.
-func (db *DB) planTree(classes, schemas []relation.AttrSet) (*ftree.T, float64, bool, error) {
-	switch db.PlannerMode() {
-	case PlannerExhaustive:
-		db.pstats.escalations.Add(1)
-		tr, cost, err := opt.OptimalFTree(classes, schemas, db.plannerBudgetOpts())
-		if err == nil {
-			return tr, cost, false, nil
-		}
-		if !errors.Is(err, opt.ErrBudget) {
-			return nil, 0, false, err
-		}
-		db.pstats.fallbacks.Add(1)
-		tr, cost, err = opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	case PlannerGreedy:
-		tr, cost, err := opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	default:
-		tr, cost, err := opt.GreedyFTree(classes, schemas)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if cost <= db.plannerThresholdValue()+1e-9 {
-			db.pstats.greedy.Add(1)
-			return tr, cost, true, nil
-		}
-		db.pstats.escalations.Add(1)
-		ot, ocost, oerr := opt.OptimalFTree(classes, schemas, db.plannerBudgetOpts())
-		if oerr == nil {
-			if ocost < cost-1e-9 {
-				return ot, ocost, false, nil
-			}
-			// The greedy tree already is optimal; keep it, but not as a
-			// promotion candidate — re-optimising cannot improve it.
-			return tr, cost, false, nil
-		}
-		if !errors.Is(oerr, opt.ErrBudget) {
-			return nil, 0, false, oerr
-		}
-		db.pstats.fallbacks.Add(1)
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	}
-}
-
-// planOrderedTree is planTree for the order-constrained search (the ORDER
-// BY key-class chain forced to the pre-order front). opt.ErrBudget never
-// escapes — the greedy-ordered tree stands in; opt.ErrOrderIncompatible
+// keeping the greedy tree whenever the search exhausts its budget. A
+// non-empty chain constrains both tiers to trees whose pre-order starts
+// with the ORDER BY key classes. The returned flag reports whether the
+// chosen tree came from the greedy tier (and is therefore a promotion
+// candidate). opt.ErrBudget never escapes; opt.ErrOrderIncompatible
 // propagates to the caller, which falls back to heap-sorted retrieval.
-func (db *DB) planOrderedTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, bool, error) {
-	switch db.PlannerMode() {
-	case PlannerExhaustive:
-		db.pstats.escalations.Add(1)
-		tr, cost, err := opt.OptimalFTreeOrdered(classes, schemas, chain, db.plannerBudgetOpts())
-		if err == nil {
-			return tr, cost, false, nil
-		}
-		if !errors.Is(err, opt.ErrBudget) {
+func (db *DB) planTree(classes, schemas []relation.AttrSet, chain []int) (*ftree.T, float64, bool, error) {
+	mode := db.PlannerMode()
+	var gt *ftree.T // the greedy tree, when the greedy tier ran
+	var gcost float64
+	if mode != PlannerExhaustive {
+		var err error
+		if gt, gcost, err = opt.GreedyFTreeOrdered(classes, schemas, chain); err != nil {
 			return nil, 0, false, err
 		}
-		db.pstats.fallbacks.Add(1)
-		tr, cost, err = opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	case PlannerGreedy:
-		tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
-	default:
-		tr, cost, err := opt.GreedyFTreeOrdered(classes, schemas, chain)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		if cost <= db.plannerThresholdValue()+1e-9 {
+		if mode == PlannerGreedy || gcost <= db.plannerThresholdValue()+1e-9 {
 			db.pstats.greedy.Add(1)
-			return tr, cost, true, nil
+			return gt, gcost, true, nil
 		}
-		db.pstats.escalations.Add(1)
-		ot, ocost, oerr := opt.OptimalFTreeOrdered(classes, schemas, chain, db.plannerBudgetOpts())
-		if oerr == nil {
-			if ocost < cost-1e-9 {
-				return ot, ocost, false, nil
-			}
-			return tr, cost, false, nil
-		}
-		if !errors.Is(oerr, opt.ErrBudget) {
-			return nil, 0, false, oerr
-		}
-		db.pstats.fallbacks.Add(1)
-		db.pstats.greedy.Add(1)
-		return tr, cost, true, nil
 	}
+	db.pstats.escalations.Add(1)
+	ot, ocost, err := opt.OptimalFTreeOrdered(classes, schemas, chain, db.plannerBudgetOpts())
+	switch {
+	case err == nil && (gt == nil || ocost < gcost-1e-9):
+		return ot, ocost, false, nil
+	case err == nil:
+		// The greedy tree already is optimal; keep it, but not as a
+		// promotion candidate — re-optimising cannot improve it.
+		return gt, gcost, false, nil
+	case !errors.Is(err, opt.ErrBudget):
+		return nil, 0, false, err
+	}
+	db.pstats.fallbacks.Add(1)
+	if gt == nil {
+		if gt, gcost, err = opt.GreedyFTreeOrdered(classes, schemas, chain); err != nil {
+			return nil, 0, false, err
+		}
+	}
+	db.pstats.greedy.Add(1)
+	return gt, gcost, true, nil
 }
 
 // maybePromote is called on every plan-cache hit: once a greedily planned,

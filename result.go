@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -15,9 +16,9 @@ import (
 
 // Result is a factorised query result, carried end-to-end in the
 // arena-backed columnar encoding (frep.Enc): enumeration, counting and
-// aggregation never materialise the pointer form. Follow-up queries
-// (Where, Select, ProjectTo, Join) run directly on the encoded
-// representation, using the optimisers to pick cheap f-plans.
+// aggregation walk the columns directly. Follow-up queries (Where,
+// ProjectTo, Join) run directly on the encoded representation, using the
+// optimisers to pick cheap f-plans.
 type Result struct {
 	db  *DB
 	enc *frep.Enc
@@ -39,11 +40,6 @@ type Result struct {
 	// every retrieval call replays a fresh cursor over the shared slice.
 	sortOnce sync.Once
 	sortRows []relation.Tuple
-	// Lazily decoded pointer form for Rep(); results are otherwise
-	// immutable and shared freely across goroutines, so the decode is
-	// guarded.
-	repOnce sync.Once
-	rep     *frep.FRep
 	// Lazily computed bag flag: UnionAll leaves duplicate union entries in
 	// the encoding, and those entries' subtrees are not merged — retrieval
 	// over such a representation must sort.
@@ -175,9 +171,8 @@ func (r *Result) Schema() []string {
 func (r *Result) FTree() string { return r.enumEnc().Tree.String() }
 
 // String renders the factorised representation in the paper's notation,
-// decoding dictionary values (through the cached pointer form — rendering
-// is the one surface that wants the tree shape).
-func (r *Result) String() string { return r.Rep().StringDict(r.db.dict) }
+// decoding dictionary values.
+func (r *Result) String() string { return r.enc.StringDict(r.db.dict) }
 
 // Each enumerates the tuples as string-decoded rows until fn returns false,
 // honouring OrderBy, Offset and Limit. The row slice is reused between calls
@@ -212,14 +207,6 @@ func (r *Result) Rows(limit int) [][]string {
 // Enc exposes the underlying encoded representation (advanced use: direct
 // access to the internal packages).
 func (r *Result) Enc() *frep.Enc { return r.enc }
-
-// Rep exposes the pointer form of the representation (advanced use). It is
-// decoded from the encoded form on first call and cached (safe for
-// concurrent callers); mutating it does not affect the result.
-func (r *Result) Rep() *frep.FRep {
-	r.repOnce.Do(func() { r.rep = r.enc.Decode() })
-	return r.rep
-}
 
 // Iter returns a resumable iterator over the result's tuples (raw values;
 // use Each/Rows for dictionary-decoded output), honouring OrderBy, Offset
@@ -257,39 +244,49 @@ func (r *Result) Iter() frep.TupleIter {
 // stream.
 func (r *Result) IterShards(n int) []*frep.EncIterator { return r.enc.EnumerateShards(n) }
 
+// planOperandErr rejects the operands f-plans cannot take: ordered results
+// (order and limit apply to the final retrieval, not to intermediate
+// algebra) and bags (UnionAll keeps duplicate entries, while the f-plan
+// operators are defined on sets and would silently merge them).
+func (r *Result) planOperandErr(name string) error {
+	if r.ordered() {
+		return fmt.Errorf("fdb: %s on an ordered/limited result is not supported; apply OrderBy/Limit to the final query", name)
+	}
+	if r.isBag() {
+		return fmt.Errorf("fdb: %s on a UNION ALL (bag) result is not supported; use Union or QuerySet(..., Distinct()) for set semantics", name)
+	}
+	return nil
+}
+
 // Where applies equality conditions to the factorised result: the engine
 // searches for an optimal f-plan (restructuring + merge/absorb operators)
 // and executes it on the encoded representation (encoded operators are
 // pure, so the receiver is unchanged; a new Result is returned).
 func (r *Result) Where(clauses ...Clause) (*Result, error) {
-	if r.ordered() {
-		return nil, fmt.Errorf("fdb: Where on an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
+	if err := r.planOperandErr("Where"); err != nil {
+		return nil, err
 	}
 	s, err := compileSpec(modeWhere, clauses)
 	if err != nil {
 		return nil, err
 	}
-	enc := r.enc
 	// Constant selections first (cheapest, Section 4). String constants
 	// resolve through the read-only dictionary path: an equality on an
 	// already-encoded string compiles to a code selection, everything else —
 	// ranges (decoded lexicographic order) and equalities on unseen strings
 	// (empty or pass-through, never a fresh code) — runs as a predicate
 	// selection.
+	var plan fplan.Plan
 	for _, sel := range s.sels {
 		if str, isStr := sel.val.(string); isStr {
-			var err error
 			if v, ok := r.db.dict.Lookup(str); ok && (sel.op == fplan.Eq || sel.op == fplan.Ne) {
-				enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
+				plan.Ops = append(plan.Ops, fplan.SelectConst{A: sel.attr, Op: sel.op, C: v})
 			} else {
-				enc, err = fplan.ApplyEnc(fplan.SelectFn{
+				plan.Ops = append(plan.Ops, fplan.SelectFn{
 					A:     sel.attr,
 					Keep:  r.db.stringSelPred(sel.op, str),
 					Label: fmt.Sprintf("%s %q", sel.op, str),
-				}, enc)
-			}
-			if err != nil {
-				return nil, err
+				})
 			}
 			continue
 		}
@@ -297,42 +294,40 @@ func (r *Result) Where(clauses ...Clause) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		enc, err = fplan.ApplyEnc(fplan.SelectConst{A: sel.attr, Op: sel.op, C: v}, enc)
-		if err != nil {
-			return nil, err
-		}
+		plan.Ops = append(plan.Ops, fplan.SelectConst{A: sel.attr, Op: sel.op, C: v})
+	}
+	// The equalities are planned over the tree the selections leave behind.
+	t, _, err := plan.SimulateTree(r.enc.Tree)
+	if err != nil {
+		return nil, err
 	}
 	var conds []opt.Condition
 	for _, e := range s.eqs {
-		if enc.Tree.NodeOf(e.A) == nil || enc.Tree.NodeOf(e.B) == nil {
+		if t.NodeOf(e.A) == nil || t.NodeOf(e.B) == nil {
 			return nil, fmt.Errorf("fdb: condition %s=%s references attribute not in result", e.A, e.B)
 		}
-		if enc.Tree.NodeOf(e.A) != enc.Tree.NodeOf(e.B) {
+		if t.NodeOf(e.A) != t.NodeOf(e.B) {
 			conds = append(conds, opt.Condition{A: e.A, B: e.B})
 		}
 	}
 	if len(conds) > 0 {
-		res, err := opt.ExhaustivePlan(enc.Tree, conds, opt.PlanSearchOptions{})
+		res, err := opt.ExhaustivePlan(t, conds, opt.PlanSearchOptions{})
 		if err != nil {
 			// Fall back to the greedy heuristic on large instances.
-			g, gerr := opt.GreedyPlan(enc.Tree, conds)
+			g, gerr := opt.GreedyPlan(t, conds)
 			if gerr != nil {
 				return nil, err
 			}
 			res = g
 		}
-		for _, op := range res.Plan.Ops {
-			enc, err = fplan.ApplyEnc(op, enc)
-			if err != nil {
-				return nil, err
-			}
-		}
+		plan = plan.Append(res.Plan.Ops...)
 	}
 	if s.project != nil {
-		enc, err = fplan.ApplyEnc(fplan.Project{Attrs: s.project}, enc)
-		if err != nil {
-			return nil, err
-		}
+		plan = plan.Append(fplan.Project{Attrs: s.project})
+	}
+	enc, err := plan.Execute(context.Background(), r.enc)
+	if err != nil {
+		return nil, err
 	}
 	return newResult(r.db, enc), nil
 }
@@ -349,8 +344,10 @@ func (r *Result) Join(other *Result, clauses ...Clause) (*Result, error) {
 	if r.db != other.db {
 		return nil, fmt.Errorf("fdb: Join across different DB instances: the dictionary encodings are incompatible")
 	}
-	if r.ordered() || other.ordered() {
-		return nil, fmt.Errorf("fdb: Join of an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
+	for _, x := range []*Result{r, other} {
+		if err := x.planOperandErr("Join"); err != nil {
+			return nil, err
+		}
 	}
 	prod, err := fplan.ProductEnc(r.enc, other.enc)
 	if err != nil {
@@ -415,8 +412,8 @@ func (r *Result) setOp(name string, op func(a, b *frep.Enc) (*frep.Enc, error), 
 
 // ProjectTo projects the factorised result onto the given attributes.
 func (r *Result) ProjectTo(attrs ...string) (*Result, error) {
-	if r.ordered() {
-		return nil, fmt.Errorf("fdb: ProjectTo on an ordered/limited result is not supported; apply OrderBy/Limit to the final query")
+	if err := r.planOperandErr("ProjectTo"); err != nil {
+		return nil, err
 	}
 	var as []relation.Attribute
 	for _, a := range attrs {

@@ -253,3 +253,63 @@ func TestClippingEdges(t *testing.T) {
 		t.Errorf("setop clip window = %q, want \"4 5 5 6 6 7\"", got)
 	}
 }
+
+// TestBagOperandsRejected: a UNION ALL result keeps duplicate entries,
+// while the f-plans behind Where, Join and ProjectTo work on sets and would
+// silently merge them (a bag of 6 rows joined back to 3). Those operators
+// reject bag operands and point to the set-semantics alternatives, which
+// still compose.
+func TestBagOperandsRejected(t *testing.T) {
+	db := New()
+	db.MustCreate("R", "a", "b")
+	db.MustCreate("S", "c", "d")
+	for i := 1; i <= 3; i++ {
+		db.MustInsert("R", i, i)
+		db.MustInsert("S", i, 10+i)
+	}
+	r, err := db.Query(From("R"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := db.Query(From("S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bag, err := r.UnionAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bag.Count() != 6 {
+		t.Fatalf("bag count = %d, want 6", bag.Count())
+	}
+	checkBagErr := func(op string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s on a UNION ALL result: want an error", op)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "UNION ALL") ||
+			!strings.Contains(msg, "Union") || !strings.Contains(msg, "Distinct()") {
+			t.Fatalf("%s error %q does not point to Union or Distinct()", op, msg)
+		}
+	}
+	_, err = bag.Join(s, Eq("R.a", "S.c"))
+	checkBagErr("Join", err)
+	_, err = s.Join(bag, Eq("R.a", "S.c"))
+	checkBagErr("Join (bag on the right)", err)
+	_, err = bag.Where(Eq("R.a", "R.b"))
+	checkBagErr("Where", err)
+	_, err = bag.ProjectTo("R.b")
+	checkBagErr("ProjectTo", err)
+
+	set, err := db.QuerySet(UnionAll(Sub(From("R")), Sub(From("R"))), Distinct())
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, err := set.Join(s, Eq("R.a", "S.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined.Count() != 3 {
+		t.Fatalf("distinct bag joined: count = %d, want 3", joined.Count())
+	}
+}

@@ -337,7 +337,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 	// Tiered planning: greedy by default, exhaustive when the cost model
 	// asks for it, never a budget error (see planTree).
 	classes, schemas := q.Classes(), q.Schemas()
-	tr, cost, greedy, err := db.planTree(classes, schemas)
+	tr, cost, greedy, err := db.planTree(classes, schemas, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +367,7 @@ func (db *DB) prepareSpec(s *spec, snap *Snapshot) (*Stmt, error) {
 		// claims to establish.
 		streamable = fplan.ReorderForOrder(tr, s.orderBy) && fplan.OrderCompatible(tr, s.orderBy)
 		if !streamable {
-			ot, ocost, ogreedy, oerr := db.planOrderedTree(classes, schemas, ochain)
+			ot, ocost, ogreedy, oerr := db.planTree(classes, schemas, ochain)
 			switch {
 			case oerr == nil:
 				if opt.PreferOrdered(cost, ocost, s.limit >= 0) && fplan.ReorderForOrder(ot, s.orderBy) {
@@ -781,11 +781,11 @@ func mergeSortedDelta(old *relation.Relation, adds, dels []relation.Tuple, idx [
 }
 
 // buildContext binds parameters and builds the statement's factorised
-// result — straight into the arena-backed columnar encoding, never through
-// the pointer form: the shared evaluation path behind ExecContext and
-// ExecAggContext. Parameter-free statements memoise the pre-projection
-// encoding per input version (so a read-mostly workload re-executes from
-// the cached arena); parameterised ones filter and build per call.
+// result straight into the arena-backed columnar encoding: the shared
+// evaluation path behind ExecContext and ExecAggContext. Parameter-free
+// statements memoise the pre-projection encoding per input version (so a
+// read-mostly workload re-executes from the cached arena); parameterised
+// ones filter and build per call.
 func (st *Stmt) buildContext(ctx context.Context, args []NamedArg) (*frep.Enc, error) {
 	if st.snap != nil && st.snap.isClosed() {
 		return nil, errSnapshotClosed

@@ -154,9 +154,9 @@ func mustQuery(t *testing.T, f func() (*Result, error)) *Result {
 	return res
 }
 
-// TestResultSurvivesCompaction: a Result (and its decoded Rep) built from a
-// version that is later compacted away keeps iterating the old rows — the
-// version chain pins tuple storage and the result owns its representation.
+// TestResultSurvivesCompaction: a Result built from a version that is later
+// compacted away keeps iterating the old rows — the version chain pins
+// tuple storage and the result owns its representation.
 func TestResultSurvivesCompaction(t *testing.T) {
 	db := New()
 	db.MustCreate("R", "a", "b")
@@ -199,8 +199,8 @@ func TestResultSurvivesCompaction(t *testing.T) {
 	if n != want {
 		t.Fatalf("iterator lost rows under compaction: %d != %d", n, want)
 	}
-	if res.Rep() == nil || res.Count() != want {
-		t.Fatal("decoded rep unavailable after compaction")
+	if err := res.Enc().Validate(); err != nil || res.Count() != want {
+		t.Fatalf("representation unusable after compaction: %v", err)
 	}
 }
 
